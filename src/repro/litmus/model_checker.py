@@ -59,10 +59,11 @@ enabled transition) along with a witness of the first deadlocked state.
 
 from __future__ import annotations
 
+import enum
 import hashlib
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.config import CordConfig, SystemConfig
 from repro.consistency.checker import Violation, check_rc
@@ -71,6 +72,7 @@ from repro.consistency.ops import MemOp, OpKind, Ordering
 from repro.core.directory import CordDirectoryState
 from repro.core.messages import NotifyMeta, ReleaseMeta, RelaxedMeta, ReqNotifyMeta
 from repro.core.processor import CordProcessorState
+from repro.core.seqnum import SequenceSpace
 from repro.core.tables import BoundedTable, PartitionedTable
 from repro.litmus.dsl import LitmusTest
 from repro.litmus.symmetry import Automorphism, find_automorphisms
@@ -238,9 +240,9 @@ def _attr_state(obj: Any) -> Optional[Dict[str, Any]]:
     """``name -> value`` attribute map, or ``None`` for non-object values.
 
     Covers plain ``__dict__`` instances *and* ``__slots__``-only classes
-    (slots collected across the MRO), so a PR-4-style slots adoption in
-    the shared ``repro.core`` state classes cannot silently shrink the
-    visited-set key to an empty attribute tuple.
+    (slots collected across the MRO), so a slots adoption in a class that
+    reaches the generic walk cannot silently shrink its frozen form to an
+    empty attribute tuple.
     """
     state: Dict[str, Any] = {}
     found = False
@@ -262,37 +264,75 @@ def _attr_state(obj: Any) -> Optional[Dict[str, Any]]:
     return state if found else None
 
 
+# Compact frozen forms of the CORD protocol components (DESIGN.md §4.10).
+# Each keeps only the fields a transition can change.  Everything else is
+# fixed for the whole run or is bookkeeping no transition reads: the
+# ``CordConfig``, table names/capacities/entry widths and the epoch's bit
+# width all come from the run's one ``cord_config``; ``proc``/``directory``
+# equal the component's position in the key; ``on_transition`` is always
+# None in the checker; and the issue/commit/stall/occupancy counters only
+# count.  tests/litmus/test_checker_keys.py classifies every attribute of
+# these classes, so a new field cannot drop out of the key unnoticed.
+# Table entries are immutable ints and int tuples, so they need no freezing.
+
+def _freeze_table(table: BoundedTable) -> Tuple:
+    return tuple(sorted(table._entries.items()))
+
+
+def _freeze_partitioned(table: PartitionedTable) -> Tuple:
+    return tuple((proc, _freeze_table(part))
+                 for proc, part in sorted(table._partitions.items()))
+
+
+def _freeze_proc(proc: CordProcessorState) -> Tuple:
+    return (proc.epoch.value, _freeze_table(proc.store_counters),
+            _freeze_table(proc.unacked))
+
+
+def _freeze_dir(directory: CordDirectoryState) -> Tuple:
+    return (_freeze_partitioned(directory.store_counters),
+            _freeze_partitioned(directory.notification_counters),
+            tuple(sorted(directory.largest_committed.items())))
+
+
+#: Exact-type table of compact frozen forms (subclasses take the generic
+#: walk, so they cannot inherit a form that misses their own fields).
+_COMPACT_FORMS: Dict[type, Callable[[Any], Any]] = {
+    CordProcessorState: _freeze_proc,
+    CordDirectoryState: _freeze_dir,
+    BoundedTable: _freeze_table,
+    PartitionedTable: _freeze_partitioned,
+    SequenceSpace: lambda space: space.value,
+}
+
+#: Values that are their own frozen form (exact types: an ``IntEnum`` must
+#: still take the enum branch).
+_ATOMIC_TYPES = frozenset((int, float, str, bool, type(None)))
+
+
 def _freeze(obj: Any) -> Any:
     """Canonical hashable form of protocol state (for the visited set)."""
-    import enum
+    kind = type(obj)
+    if kind in _ATOMIC_TYPES:
+        return obj
+    compact = _COMPACT_FORMS.get(kind)
+    if compact is not None:
+        return compact(obj)
     if isinstance(obj, enum.Enum):
-        return (type(obj).__name__, obj.value)
+        return (kind.__name__, obj.value)
     if isinstance(obj, dict):
         return tuple(sorted((_freeze(k), _freeze(v)) for k, v in obj.items()))
     if isinstance(obj, (list, tuple)):
         return tuple(_freeze(x) for x in obj)
     if isinstance(obj, (set, frozenset)):
         return tuple(sorted(_freeze(x) for x in obj))
-    if isinstance(obj, (int, float, str, bool, type(None))):
-        return obj
+    if isinstance(obj, (int, float, str)):
+        return obj  # non-enum subclasses of the atomic types
     attrs = _attr_state(obj)
     if attrs is not None:
-        skip = {"stalls", "relaxed_issued", "releases_issued",
-                "relaxed_committed", "releases_committed",
-                "notifications_sent", "insertions", "peak_occupancy"}
-        return (
-            type(obj).__name__,
-            tuple(
-                (name, _freeze(value))
-                for name, value in sorted(attrs.items())
-                if name not in skip
-                and not name.startswith("_partitions")
-                and not name.startswith("_frozen")
-            ) + (
-                (("partitions", _freeze(obj._partitions)),)
-                if hasattr(obj, "_partitions") else ()
-            ),
-        )
+        return (kind.__name__, tuple(
+            (name, _freeze(value)) for name, value in sorted(attrs.items())
+        ))
     raise TypeError(f"cannot freeze {type(obj)}")
 
 
@@ -301,10 +341,10 @@ def _freeze_cached(obj: Any) -> Any:
 
     The memo lives on the component itself; it stays valid because every
     checker mutation goes through clone-on-write and clones never carry
-    the memo.  (``_freeze`` excludes ``_frozen*`` names, so the memo does
-    not perturb the frozen form.)  Objects that cannot take the attribute
-    — ``__slots__``-only classes without a ``_frozen_memo`` slot — are
-    simply re-frozen each time.
+    the memo.  (The compact forms read only protocol fields, so the memo
+    never perturbs the frozen form.)  Objects that cannot take the
+    attribute — ``__slots__``-only classes without a ``_frozen_memo``
+    slot — are simply re-frozen each time.
     """
     memo = getattr(obj, "_frozen_memo", None)
     if memo is None:
@@ -320,14 +360,14 @@ def _freeze_cached(obj: Any) -> Any:
 # Symmetry: component permutation (DESIGN.md §4.11)
 # ---------------------------------------------------------------------------
 # The frozen forms of the protocol components embed core/directory indices
-# both as table keys and inside the table *names* (``proc0.store_counters``),
-# so permuting a frozen form textually would be fragile.  Instead each
-# component is rebuilt as the object the permuted execution would have
-# produced and frozen with the ordinary ``_freeze`` — one code path, no
-# format assumptions.  Like ``_freeze_cached``, the result is memoized on
-# the component per automorphism (``_frozen_perm``, excluded from freezing
-# by the ``_frozen*`` skip rule and dropped by every clone), so COW sharing
-# amortizes the rebuild across states.
+# as table keys (directory ids, per-processor partitions), so permuting a
+# frozen form textually would couple this code to the form's layout.
+# Instead each component is rebuilt as the object the permuted execution
+# would have produced and frozen with the ordinary ``_freeze`` — one code
+# path, no format assumptions.  Like ``_freeze_cached``, the result is
+# memoized on the component per automorphism (``_frozen_perm``, which no
+# compact form reads and every clone drops), so COW sharing amortizes the
+# rebuild across states.
 
 def _digest_of(key: Any) -> bytes:
     """Canonical 128-bit digest of a visited-set key.
@@ -373,8 +413,8 @@ def _build_permuted_proc(proc: CordProcessorState,
     for (directory, epoch), flag in proc.unacked:
         unacked._entries[(auto.dirs.get(directory, directory), epoch)] = flag
     twin.unacked = unacked
-    # Statistics fields are excluded from frozen forms; the observer must
-    # match the checker's (always None).
+    # Statistics and the observer are outside the compact frozen form; set
+    # them so the twin is a complete instance.
     twin.relaxed_issued = 0
     twin.releases_issued = 0
     twin.stalls = {}

@@ -90,8 +90,12 @@ class Accumulator:
         default ``"linear"`` method) — the one method implemented here.
         Requires ``keep_samples``; returns ``None`` when no samples were
         kept, so a never-sampled distribution is distinguishable from
-        one whose percentile is genuinely 0.0.
+        one whose percentile is genuinely 0.0.  Raises ``ValueError`` for
+        ``q`` outside 0-100 rather than extrapolating past the samples.
         """
+        if not 0.0 <= q <= 100.0:
+            raise ValueError(
+                "percentile q must be in the range 0-100, got {!r}".format(q))
         if not self._samples:
             return None
         ordered = sorted(self._samples)

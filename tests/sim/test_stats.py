@@ -119,6 +119,19 @@ class TestPercentiles:
         assert acc.p50 == pytest.approx(25.0)
         assert acc.percentile(25.0) == pytest.approx(17.5)
 
+    @pytest.mark.parametrize("q", [150.0, -10.0, 100.5, float("nan")])
+    def test_out_of_range_q_is_rejected(self, q):
+        """Regression: q=150 raised IndexError and q=-10 silently
+        extrapolated to 8.0, below the smallest sample."""
+        acc = self._acc(10.0, 20.0, 30.0)
+        with pytest.raises(ValueError, match="0-100"):
+            acc.percentile(q)
+
+    def test_range_bounds_are_inclusive(self):
+        acc = self._acc(10.0, 20.0, 30.0)
+        assert acc.percentile(0.0) == 10.0
+        assert acc.percentile(100.0) == 30.0
+
     def test_tail_orders_correctly(self):
         acc = self._acc(*[1.0] * 99, 1000.0)
         assert acc.p50 == 1.0
