@@ -39,10 +39,6 @@ Executor options (any experiment):
                       repro.faults).  With 'litmus' this switches to the
                       fault-enabled timed sweep asserting safety and
                       deadlock-freedom under the plan.
-    --legacy-protocols  run the hand-written so/cord/seq actors instead
-                      of the transition-table interpreter (equivalent to
-                      setting REPRO_LEGACY_PROTOCOLS=1; results are
-                      cached under a separate key)
 
 Bench options (``bench`` only; see ``repro.harness.bench``):
 
@@ -83,11 +79,9 @@ Scale options (``scale`` only; see ``repro.harness.scale``):
 
 from __future__ import annotations
 
-import os
 import sys
 from typing import List, Optional, Tuple
 
-from repro.protocols.factory import LEGACY_ENV
 from repro.harness import (
     Executor,
     default_cache_dir,
@@ -155,7 +149,7 @@ def _parse_executor_flags(
     args: List[str],
 ) -> Tuple[Optional[List[str]], Optional[Executor]]:
     """Strip the executor flags (``--jobs/--cache-dir/--no-cache/
-    --run-log/--trace/--trace-out/--legacy-protocols``) from ``args``.
+    --run-log/--trace/--trace-out/--faults``) from ``args``.
 
     Returns (remaining args, executor), or (None, None) on a usage error
     (after printing a message)."""
@@ -213,11 +207,6 @@ def _parse_executor_flags(
             if value is None:
                 return None, None
             faults = value
-        elif arg == "--legacy-protocols":
-            # Escape hatch: run the hand-written actors instead of the
-            # table interpreter.  Set via the environment so pool workers
-            # inherit it and cache keys pick it up (see code_version()).
-            os.environ[LEGACY_ENV] = "1"
         elif arg.startswith("--") and arg not in ("-h", "--help"):
             print(f"unknown option {arg!r}")
             return None, None

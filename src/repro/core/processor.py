@@ -5,8 +5,8 @@ epoch, and the unacknowledged-epoch table; produces the metadata embedded in
 Relaxed stores, Release stores and request-for-notification messages; and
 implements the §4.3 stall conditions (table overflow, epoch aliasing).
 
-This class is pure state — no I/O, no timing — so the timed protocol actors
-(:mod:`repro.protocols.cord`) and the untimed model checker
+This class is pure state — no I/O, no timing — so the timed table
+interpreter (:mod:`repro.protocols.table`) and the untimed model checker
 (:mod:`repro.litmus.model_checker`) share exactly the same logic.
 """
 

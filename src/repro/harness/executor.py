@@ -197,11 +197,10 @@ def code_version() -> str:
     """Hash of every ``*.py`` file in the ``repro`` package.
 
     Part of every cache key, so editing any simulator/protocol source
-    invalidates previously cached runs.  The ``--legacy-protocols``
-    toggle and the ``REPRO_INTERPRETED_TABLES`` differential seam select
-    different execution paths from the *same* sources, so both are mixed
-    in too (never memoized: the environment can change between calls,
-    e.g. under test monkeypatching).
+    invalidates previously cached runs.  The ``REPRO_INTERPRETED_TABLES``
+    differential seam selects a different execution path from the *same*
+    sources, so it is mixed in too (never memoized: the environment can
+    change between calls, e.g. under test monkeypatching).
     """
     global _CODE_VERSION
     if _CODE_VERSION is None:
@@ -212,11 +211,8 @@ def code_version() -> str:
             digest.update(str(path.relative_to(root)).encode())
             digest.update(path.read_bytes())
         _CODE_VERSION = digest.hexdigest()
-    from repro.protocols.factory import legacy_protocols_enabled
     from repro.protocols.table import interpreted_tables_enabled
     version = _CODE_VERSION
-    if legacy_protocols_enabled():
-        version += "+legacy-protocols"
     if interpreted_tables_enabled():
         version += "+interpreted-tables"
     return version

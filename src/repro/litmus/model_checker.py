@@ -1,12 +1,13 @@
 """Explicit-state model checker for the coherence protocols (§4.5).
 
 This is the reproduction's Murphi substitute: an *untimed* operational model
-of each protocol (CORD, SO, MP — individually or mixed per thread) explored
-exhaustively by DFS over all interleavings of core steps and message
-deliveries.  Like the paper's Murphi setup, state space is kept tractable by
-bounding addresses, values and nodes to litmus-test scale.
+of each protocol (CORD, SO, MP, SEQ-k, Tardis — individually or mixed per
+thread) explored exhaustively by DFS over all interleavings of core steps
+and message deliveries.  Like the paper's Murphi setup, state space is kept
+tractable by bounding addresses, values and nodes to litmus-test scale.
 
-The protocol logic is not re-implemented: the model reuses the exact
+The protocol logic is not re-implemented: the model interprets each
+protocol's :mod:`repro.protocols.spec` transition table and reuses the exact
 :class:`~repro.core.processor.CordProcessorState` and
 :class:`~repro.core.directory.CordDirectoryState` state machines that drive
 the timed simulator, so the artifact that is model-checked is the artifact
@@ -78,10 +79,7 @@ from repro.litmus.dsl import LitmusTest
 from repro.litmus.symmetry import Automorphism, find_automorphisms
 from repro.litmus.visited import make_visited
 from repro.memory.address import AddressMap
-from repro.protocols.factory import (
-    legacy_protocols_enabled,
-    validate_checkable_protocol,
-)
+from repro.protocols.factory import validate_checkable_protocol
 from repro.protocols.spec import (
     DeliveryContext,
     ample_kinds,
@@ -89,7 +87,6 @@ from repro.protocols.spec import (
     fifo_class_for,
     forwarding_kinds,
     get_spec,
-    has_spec,
 )
 from repro.sim.stats import StatRegistry
 
@@ -619,8 +616,8 @@ class _CheckerContext(DeliveryContext):
     Delivery guards run read-only against the shared components; effects
     run against the copy-on-write ``mutable_*`` accessors.  The message
     wire format (field names, reply shapes, FIFO classes) produced here is
-    kept identical to the legacy inline delivery code — the equivalence
-    suites pin states/transitions/finals, not just outcomes.
+    pinned by the committed checker signatures (states/transitions/finals,
+    not just outcomes).
     """
 
     __slots__ = ("_checker", "_state", "_msg", "_mutate", "_dir", "_core")
@@ -720,8 +717,9 @@ class ModelChecker:
     test:
         The litmus test.
     protocol:
-        ``"cord"``, ``"so"``, ``"mp"`` or ``"seq<k>"`` — the protocol each
-        thread uses (overridden per-thread by ``test.thread_protocols``).
+        ``"cord"``, ``"so"``, ``"mp"``, ``"seq<k>"`` or ``"tardis"`` —
+        the protocol each thread uses (overridden per-thread by
+        ``test.thread_protocols``).
     config:
         System geometry (defaults to one host per location-home plus one).
     cord_config:
@@ -768,17 +766,12 @@ class ModelChecker:
     spill_threshold:
         Entry count at which a ``visited_db`` run spills to disk
         (default :data:`repro.litmus.visited.DEFAULT_SPILL_THRESHOLD`).
-    use_tables:
-        Drive successor generation from the declarative transition
-        tables in :mod:`repro.protocols.spec` — the same table objects
-        the timed interpreter executes — for every protocol that has one
-        (``so``, ``cord``, ``seq<k>``, ``tardis``; MP stays on the
-        inline path).  ``tardis`` is table-native and keeps its spec
-        even under the legacy toggle — it has no inline model.
-        ``None`` (the default) follows the ``REPRO_LEGACY_PROTOCOLS``
-        environment toggle, matching the timed factory.  Table and
-        legacy exploration produce identical states, transitions and
-        outcome sets — pinned by the table-equivalence suites.
+
+    Successor generation interprets each core's declarative transition
+    table (:mod:`repro.protocols.spec`) — the same table objects the
+    timed interpreter executes — so the checked protocol is the measured
+    protocol.  ``tests/data/checker_signatures.json`` pins the resulting
+    state graphs (states, transitions, deadlocks, outcome sets).
     """
 
     def __init__(
@@ -797,7 +790,6 @@ class ModelChecker:
         parallel: int = 1,
         visited_db: Optional[str] = None,
         spill_threshold: Optional[int] = None,
-        use_tables: Optional[bool] = None,
     ) -> None:
         self.test = test
         self.protocol = protocol
@@ -828,27 +820,15 @@ class ModelChecker:
             raise ValueError("thread_protocols length != thread count")
         for proto in self.core_protocols:
             validate_checkable_protocol(proto)
-        if use_tables is None:
-            use_tables = not legacy_protocols_enabled()
-        self.use_tables = bool(use_tables)
-        # Per-core transition table (None -> legacy inline path: MP, or
-        # everything under --legacy-protocols).  Tardis is forced onto
-        # its spec even in legacy mode: it has no inline model.
-        self._specs = [
-            get_spec(proto)
-            if ((self.use_tables or proto == "tardis") and has_spec(proto))
-            else None
-            for proto in self.core_protocols
-        ]
+        # Per-core transition table: successor generation runs the same
+        # rows the timed interpreter executes.
+        self._specs = [get_spec(proto) for proto in self.core_protocols]
         self._so_spec = get_spec("so")  # mixed-mode ``via: so`` carriers
-        self._delivery_rules: Dict[str, Any] = {}
-        if any(spec is not None for spec in self._specs):
-            # SO's rules ride along for the via-so carriers a CORD core
-            # can emit (§4.5 mixed mode).
-            self._delivery_rules.update(self._so_spec.delivery)
-            for spec in self._specs:
-                if spec is not None:
-                    self._delivery_rules.update(spec.delivery)
+        # SO's rules ride along for the via-so carriers a CORD core can
+        # emit (§4.5 mixed mode).
+        self._delivery_rules: Dict[str, Any] = dict(self._so_spec.delivery)
+        for spec in self._specs:
+            self._delivery_rules.update(spec.delivery)
         self._fifo_classes: Dict[Tuple[str, Optional[str]], Any] = {}
         self._autos: List[Automorphism] = (
             find_automorphisms(self) if symmetry else []
@@ -860,7 +840,6 @@ class ModelChecker:
             test=test, protocol=protocol, config=self.config,
             cord_config=self.cord_config, tso=tso, sc=sc,
             max_states=max_states, partial=True, por=por, symmetry=symmetry,
-            use_tables=self.use_tables,
         )
 
     # ------------------------------------------------------------------
@@ -963,7 +942,6 @@ class ModelChecker:
         if core.blocked or core.pc >= len(program):
             return False
         op = program[core.pc]
-        proto = self.core_protocols[core_index]
         ordered = op.ordering.is_release or self.tso
 
         if op.kind is OpKind.COMPUTE:
@@ -977,70 +955,31 @@ class ModelChecker:
             value = self._read_for_core(state, core_index, op.addr)
             exact = op.meta.get("cmp") == "eq"
             return value == op.value or (not exact and value >= op.value)
+        spec = self._specs[core_index]
         if op.kind is OpKind.FENCE:
             if not op.ordering.is_release:
                 return True
-            spec = self._specs[core_index]
-            if spec is not None:
-                fence = spec.fence
-                if (fence.barrier_broadcast and not core.fence_issued
-                        and core.cord.pending_directories()):
-                    # The whole barrier batch must fit before the fence
-                    # fires (never-fitting batches report as deadlocks,
-                    # not mid-step crashes).
-                    return cord_barrier_batch_reason(core.cord) is None
-                return fence.done(core)
-            if proto == "so":
-                return core.so_outstanding == 0
-            if proto.startswith("seq"):
-                return core.seq_outstanding == 0
-            if proto == "mp":
-                return True
-            # cord: issue barriers once, then wait for all acks.  The
-            # batch bound mirrors the table path above.
-            if not core.fence_issued and core.cord.pending_directories():
+            fence = spec.fence
+            if (fence.barrier_broadcast and not core.fence_issued
+                    and core.cord.pending_directories()):
+                # The whole barrier batch must fit before the fence
+                # fires (never-fitting batches report as deadlocks,
+                # not mid-step crashes).
                 return cord_barrier_batch_reason(core.cord) is None
-            return core.cord.total_unacked() == 0
+            return fence.done(core)
         # Stores and atomics (RMWs follow the same issue rules per class).
-        spec = self._specs[core_index]
-        if spec is not None:
-            if spec.core_state == "cord" and op.meta.get("via") == "so":
-                spec = self._so_spec  # mixed-mode §4.5: SO's issue rules
-            op_class = "atomic" if op.kind is OpKind.ATOMIC else "store"
-            rule = spec.issue_rule(op_class, ordered)
-            reason = rule.guard(core, self._home(op.addr))
-            if reason is None:
-                return True
-            if rule.escape == "barrier":
-                # Stalled Relaxed op: enabled if the barrier-release
-                # escape hatch can fire (§4.4).
-                return rule.escape_guard(core, self._home(op.addr)) is None
-            return False
-        if proto.startswith("seq"):
-            # Overflow stall: the wire window may not reach the modulus.
-            bits = int(proto[3:])
-            return core.seq_outstanding + 1 < (1 << bits)
-        if proto == "mp":
-            return True
-        if proto == "so" or op.meta.get("via") == "so":
-            # Source-ordered store (including SO-style stores issued from a
-            # CORD core — the mixed-mode corner case of §4.5).
-            return not ordered or core.so_outstanding == 0
-        # cord
-        home = self._home(op.addr)
-        if ordered:
-            # A CORD Release also source-orders any outstanding SO-style
-            # stores this core issued (they have no directory metadata).
-            return (
-                core.so_outstanding == 0
-                and core.cord.release_stall_reason(home) is None
-            )
-        reason = core.cord.relaxed_stall_reason(home)
+        if spec.core_state == "cord" and op.meta.get("via") == "so":
+            spec = self._so_spec  # mixed-mode §4.5: SO's issue rules
+        op_class = "atomic" if op.kind is OpKind.ATOMIC else "store"
+        rule = spec.issue_rule(op_class, ordered)
+        reason = rule.guard(core, self._home(op.addr))
         if reason is None:
             return True
-        # Stalled Relaxed store: enabled if the barrier-release escape
-        # hatch can fire (§4.4).
-        return core.cord.release_stall_reason(home) is None
+        if rule.escape == "barrier":
+            # Stalled Relaxed op: enabled if the barrier-release escape
+            # hatch can fire (§4.4).
+            return rule.escape_guard(core, self._home(op.addr)) is None
+        return False
 
     def _stores_drained(self, state: _State, core_index: int) -> bool:
         """True when the core has no store still in flight (SC gating)."""
@@ -1064,28 +1003,11 @@ class ModelChecker:
         return True
 
     def _delivery_enabled(self, state: _State, msg: _Msg) -> bool:
-        rule = self._delivery_rules.get(msg.kind)
-        if rule is not None:
-            if rule.guard is None:
-                return True
-            ctx = _CheckerContext(self, state, msg, mutate=False)
-            return rule.guard(ctx, msg.fields)
-        if msg.kind == "seq_store":
-            if not msg.fields["ordered"]:
-                return True
-            core_index = msg.fields["core"]
-            committed = sum(
-                count for (d, c), count in state.seq_committed.items()
-                if c == core_index
-            )
-            return committed >= msg.fields["seq"]
-        if msg.kind == "wt_rel":
-            directory = state.dirs[msg.dst_dir]
-            return directory.release_block_reason(msg.fields["meta"]) is None
-        if msg.kind == "req_notify":
-            directory = state.dirs[msg.dst_dir]
-            return directory.req_notify_block_reason(msg.fields["meta"]) is None
-        return True
+        rule = self._delivery_rules[msg.kind]
+        if rule.guard is None:
+            return True
+        ctx = _CheckerContext(self, state, msg, mutate=False)
+        return rule.guard(ctx, msg.fields)
 
     # ------------------------------------------------------------------
     # Transition
@@ -1134,7 +1056,6 @@ class ModelChecker:
     def _step_core(self, state: _State, core_index: int) -> None:
         core = state.mutable_core(core_index)
         op = self.programs[core_index][core.pc]
-        proto = self.core_protocols[core_index]
         ordered = op.ordering.is_release or self.tso
 
         if op.kind is OpKind.COMPUTE:
@@ -1149,32 +1070,22 @@ class ModelChecker:
             )
             core.pc += 1
             return
+        spec = self._specs[core_index]
         if op.kind is OpKind.FENCE:
-            # SO/MP/SEQ/Tardis fences carry no directory metadata: they
-            # gate in ``_core_enabled`` (SO/SEQ drain their outstanding
-            # stores; MP and Tardis order nothing here — Tardis commits
-            # strictly in order, so its fences are free) and then simply
-            # advance.  Only CORD fences issue barrier Releases below.
-            fence_spec = self._specs[core_index]
-            if (not op.ordering.is_release
-                    or (fence_spec is not None
-                        and not fence_spec.fence.barrier_broadcast)
-                    or proto in ("so", "mp")
-                    or proto.startswith("seq")):
+            # Only a barrier-broadcasting (CORD) release fence issues
+            # messages; every other fence gates in ``_core_enabled``
+            # (SO/SEQ drain their outstanding stores; MP and Tardis order
+            # nothing here — Tardis commits strictly in order, so its
+            # fences are free) and then simply advances.
+            if not op.ordering.is_release or not spec.fence.barrier_broadcast:
                 core.pc += 1
                 return
             pending = core.cord.pending_directories()
             if not core.fence_issued and pending:
-                spec = self._specs[core_index]
+                rule = spec.issue_rule("store", True)
                 for directory in pending:
-                    if spec is not None:
-                        self._table_issue(
-                            state, core_index, spec,
-                            spec.issue_rule("store", True), None, directory,
-                            barrier=True)
-                    else:
-                        self._issue_cord_release(state, core_index, None,
-                                                 directory, barrier=True)
+                    self._table_issue(state, core_index, spec, rule, None,
+                                      directory, barrier=True)
                 core.fence_issued = True
                 return
             core.fence_issued = False
@@ -1182,77 +1093,22 @@ class ModelChecker:
             return
 
         home = self._home(op.addr)
-        spec = self._specs[core_index]
-        if spec is not None and spec.core_state == "cord" \
-                and op.meta.get("via") == "so":
+        if spec.core_state == "cord" and op.meta.get("via") == "so":
             spec = self._so_spec  # mixed-mode §4.5: SO's issue rules
         if op.kind is OpKind.ATOMIC:
-            if spec is not None:
-                self._table_step_atomic(state, core_index, spec, op, home,
-                                        ordered)
-            else:
-                self._step_atomic(state, core_index, op, home, proto, ordered)
+            self._table_step_atomic(state, core_index, spec, op, home,
+                                    ordered)
             return
 
-        if spec is not None:
-            rule = spec.issue_rule("store", ordered)
-            if rule.escape == "barrier" and rule.guard(core, home) is not None:
-                # Escape hatch: inject an empty Release barrier (§4.4);
-                # the pc does not advance — the store retries afterwards.
-                self._table_issue(state, core_index, spec,
-                                  spec.issue_rule("store", True), None, home,
-                                  barrier=True)
-                return
-            self._table_issue(state, core_index, spec, rule, op, home)
-            core.pc += 1
-            return
-
-        if proto.startswith("seq"):
-            self._send(state, "seq_store", {
-                "addr": op.addr, "value": op.value, "core": core_index,
-                "pc": core.pc, "ordering": op.ordering,
-                "seq": core.seq_next, "ordered": ordered,
-            }, dst_dir=home, fifo_class=self._fifo(
-                "seq_store", proto, core=core_index, addr=op.addr))
-            core.seq_next += 1
-            core.seq_outstanding += 1
-            core.pc += 1
-            return
-
-        # Stores.
-        if proto == "mp":
-            self._send(state, "posted", {
-                "addr": op.addr, "value": op.value, "core": core_index,
-                "pc": core.pc, "ordering": op.ordering,
-            }, dst_dir=home, fifo_class=self._fifo(
-                "posted", proto, core=core_index, dst_dir=home))
-            core.pc += 1
-            return
-        if proto == "so" or op.meta.get("via") == "so":
-            self._send(state, "wt_store", {
-                "addr": op.addr, "value": op.value, "core": core_index,
-                "pc": core.pc, "ordering": op.ordering,
-            }, dst_dir=home, fifo_class=self._fifo(
-                "wt_store", "so", core=core_index, addr=op.addr))
-            core.so_outstanding += 1
-            core.pc += 1
-            return
-        # cord
-        if ordered:
-            self._issue_cord_release(state, core_index, op, home)
-            core.pc += 1
-            return
-        if core.cord.relaxed_stall_reason(home) is not None:
+        rule = spec.issue_rule("store", ordered)
+        if rule.escape == "barrier" and rule.guard(core, home) is not None:
             # Escape hatch: inject an empty Release barrier (§4.4); the pc
-            # does not advance — the Relaxed store retries afterwards.
-            self._issue_cord_release(state, core_index, None, home, barrier=True)
+            # does not advance — the store retries afterwards.
+            self._table_issue(state, core_index, spec,
+                              spec.issue_rule("store", True), None, home,
+                              barrier=True)
             return
-        meta = core.cord.on_relaxed_store(home)
-        self._send(state, "wt_rlx", {
-            "meta": meta, "addr": op.addr, "value": op.value,
-            "core": core_index, "pc": core.pc, "ordering": op.ordering,
-        }, dst_dir=home, fifo_class=self._fifo(
-            "wt_rlx", proto, core=core_index, addr=op.addr))
+        self._table_issue(state, core_index, spec, rule, op, home)
         core.pc += 1
 
     # ------------------------------------------------------------------
@@ -1329,46 +1185,6 @@ class ModelChecker:
                                                  dst_dir=emit.dst_dir))
         core.blocked = True
 
-    def _step_atomic(self, state, core_index, op, home, proto, ordered):
-        """Issue an RMW; the core blocks until the response delivers."""
-        core = state.mutable_core(core_index)
-        fields = {
-            "addr": op.addr, "value": op.value, "core": core_index,
-            "pc": core.pc, "ordering": op.ordering,
-            "atomic": op.meta["atomic"], "compare": op.meta.get("compare"),
-            "register": op.register,
-        }
-        if proto == "cord" and op.meta.get("via") != "so":
-            if ordered:
-                issue = core.cord.on_release_store(home)
-                for pending_dir, req_meta in issue.notifications:
-                    self._send(state, "req_notify", {"meta": req_meta},
-                               dst_dir=pending_dir)
-                fields["meta"] = issue.release
-                self._send(state, "wt_rel", fields, dst_dir=home,
-                           fifo_class=self._fifo("wt_rel", proto,
-                                                 core=core_index,
-                                                 addr=op.addr))
-            else:
-                if core.cord.relaxed_stall_reason(home) is not None:
-                    self._issue_cord_release(state, core_index, None, home,
-                                             barrier=True)
-                    return
-                fields["meta"] = core.cord.on_relaxed_store(home)
-                self._send(state, "atomic", fields, dst_dir=home,
-                           fifo_class=self._fifo("atomic", proto,
-                                                 core=core_index,
-                                                 addr=op.addr))
-        elif proto == "mp":
-            self._send(state, "atomic", fields, dst_dir=home,
-                       fifo_class=self._fifo("atomic", proto,
-                                             core=core_index, dst_dir=home))
-        else:  # so (or via-so)
-            self._send(state, "atomic", fields, dst_dir=home,
-                       fifo_class=self._fifo("atomic", "so",
-                                             core=core_index, addr=op.addr))
-        core.blocked = True
-
     def _perform_atomic(self, state: _State, msg: _Msg) -> None:
         fields = msg.fields
         directory = msg.dst_dir
@@ -1385,115 +1201,11 @@ class ModelChecker:
             "old": old, "register": fields.get("register"),
         }, dst_core=fields["core"])
 
-    def _issue_cord_release(
-        self,
-        state: _State,
-        core_index: int,
-        op: Optional[MemOp],
-        home: int,
-        barrier: bool = False,
-    ) -> None:
-        core = state.mutable_core(core_index)
-        issue = core.cord.on_release_store(home, barrier=barrier)
-        for pending_dir, req_meta in issue.notifications:
-            self._send(state, "req_notify", {"meta": req_meta},
-                       dst_dir=pending_dir)
-        fields: Dict[str, Any] = {"meta": issue.release, "core": core_index}
-        addr = None
-        if op is not None:
-            fields.update({
-                "addr": op.addr, "value": op.value, "pc": core.pc,
-                "ordering": op.ordering,
-            })
-            addr = op.addr
-        # Address-less barrier Releases degrade to unordered (addr=None).
-        self._send(state, "wt_rel", fields, dst_dir=home,
-                   fifo_class=self._fifo("wt_rel", "cord", core=core_index,
-                                         addr=addr))
-
     def _deliver(self, state: _State, msg: _Msg) -> None:
-        kind = msg.kind
-        rule = self._delivery_rules.get(kind)
-        if rule is not None:
-            # Table path: the same DeliveryRule the timed interpreter
-            # dispatches, run against _State via _CheckerContext.
-            rule.effects(_CheckerContext(self, state, msg, mutate=True),
-                         msg.fields)
-            return
-        if kind in ("posted", "wt_store", "wt_rlx"):
-            directory = msg.dst_dir
-            state.mutable_values(directory)[msg.fields["addr"]] = \
-                msg.fields["value"]
-            state.events.append((
-                msg.fields["core"], msg.fields["pc"], EventKind.STORE,
-                msg.fields["ordering"], msg.fields["addr"], msg.fields["value"],
-            ))
-            if kind == "wt_rlx":
-                state.mutable_dir(directory).on_relaxed(msg.fields["meta"])
-            if kind == "wt_store":
-                self._send(state, "so_ack", {}, dst_core=msg.fields["core"])
-        elif kind == "seq_store":
-            directory = msg.dst_dir
-            core_index = msg.fields["core"]
-            state.mutable_values(directory)[msg.fields["addr"]] = \
-                msg.fields["value"]
-            state.events.append((
-                core_index, msg.fields["pc"], EventKind.STORE,
-                msg.fields["ordering"], msg.fields["addr"],
-                msg.fields["value"],
-            ))
-            key = (directory, core_index)
-            state.seq_committed[key] = state.seq_committed.get(key, 0) + 1
-            state.mutable_core(core_index).seq_outstanding -= 1
-        elif kind == "so_ack":
-            state.mutable_core(msg.dst_core).so_outstanding -= 1
-        elif kind == "atomic":
-            meta = msg.fields.get("meta")
-            if meta is not None:
-                state.mutable_dir(msg.dst_dir).on_relaxed(meta)
-            self._perform_atomic(state, msg)
-        elif kind == "atomic_resp":
-            core = state.mutable_core(msg.dst_core)
-            register = msg.fields.get("register")
-            if register is not None:
-                core.regs[register] = msg.fields["old"]
-            core.blocked = False
-            core.pc += 1
-        elif kind == "wt_rel" and "atomic" in msg.fields:
-            directory = msg.dst_dir
-            meta: ReleaseMeta = msg.fields["meta"]
-            state.mutable_dir(directory).commit_release(meta)
-            self._perform_atomic(state, msg)
-            self._send(state, "rel_ack", {
-                "dir": directory, "epoch": meta.epoch,
-            }, dst_core=meta.proc)
-        elif kind == "wt_rel":
-            directory = msg.dst_dir
-            meta: ReleaseMeta = msg.fields["meta"]
-            state.mutable_dir(directory).commit_release(meta)
-            if "addr" in msg.fields:
-                state.mutable_values(directory)[msg.fields["addr"]] = \
-                    msg.fields["value"]
-                state.events.append((
-                    msg.fields["core"], msg.fields["pc"], EventKind.STORE,
-                    msg.fields["ordering"], msg.fields["addr"],
-                    msg.fields["value"],
-                ))
-            self._send(state, "rel_ack", {
-                "dir": directory, "epoch": meta.epoch,
-            }, dst_core=meta.proc)
-        elif kind == "req_notify":
-            directory = msg.dst_dir
-            meta: ReqNotifyMeta = msg.fields["meta"]
-            notify = state.mutable_dir(directory).consume_req_notify(meta)
-            self._send(state, "notify", {"meta": notify}, dst_dir=meta.noti_dst)
-        elif kind == "notify":
-            state.mutable_dir(msg.dst_dir).on_notify(msg.fields["meta"])
-        elif kind == "rel_ack":
-            core = state.mutable_core(msg.dst_core)
-            core.cord.on_release_ack(msg.fields["dir"], msg.fields["epoch"])
-        else:  # pragma: no cover - exhaustive
-            raise RuntimeError(f"unknown message kind {kind}")
+        # The same DeliveryRule the timed interpreter dispatches, run
+        # against _State via _CheckerContext.
+        self._delivery_rules[msg.kind].effects(
+            _CheckerContext(self, state, msg, mutate=True), msg.fields)
 
     # ------------------------------------------------------------------
     # Exploration

@@ -1,12 +1,8 @@
-"""Timed protocol actors: SO, CORD, MP, WB, SEQ-k, and the Machine."""
+"""Timed protocol actors: the table interpreter, WB, and the Machine."""
 
 from repro.protocols.base import CorePort, DirectoryNode
-from repro.protocols.cord import CordCorePort, CordDirectory
 from repro.protocols.factory import available_protocols, protocol_classes
 from repro.protocols.machine import Machine, RunResult
-from repro.protocols.mp import MpCorePort, MpDirectory
-from repro.protocols.seq import SeqCorePort, SeqDirectory, make_seq_protocol
-from repro.protocols.so import SoCorePort, SoDirectory
 from repro.protocols.wb import WbCorePort, WbDirectory
 
 __all__ = [
@@ -16,15 +12,6 @@ __all__ = [
     "DirectoryNode",
     "protocol_classes",
     "available_protocols",
-    "SoCorePort",
-    "SoDirectory",
-    "CordCorePort",
-    "CordDirectory",
-    "MpCorePort",
-    "MpDirectory",
     "WbCorePort",
     "WbDirectory",
-    "SeqCorePort",
-    "SeqDirectory",
-    "make_seq_protocol",
 ]

@@ -218,6 +218,7 @@ class CompiledIssue:
     timed_guard: Any = None
     escape_guard: Any = None
     combining: bool = False
+    source_drain: bool = False
 
 
 @dataclass(frozen=True)
@@ -344,6 +345,7 @@ def compile_spec(spec: ProtocolSpec) -> CompiledProtocol:
             timed_guard=rule.timed_guard,
             escape_guard=rule.escape_guard,
             combining=rule.combining,
+            source_drain=rule.source_drain,
         )
 
     retry = frozenset(spec.retry_order)

@@ -14,75 +14,44 @@ helpers):
   invalidations or ack collection; Yu & Devadas' Tardis adapted to the
   write-through directory setting)
 
-``so``, ``cord``, ``mp``, ``seq<k>`` and ``tardis`` resolve to the
-*table-driven* interpreter (:mod:`repro.protocols.table` running the
-compiled :mod:`repro.protocols.spec` transition tables — the same tables
-the model checker executes) and ``wb`` resolves through its spec's
-declared actor pair, unless the ``REPRO_LEGACY_PROTOCOLS`` environment
-variable is set (CLI: ``--legacy-protocols``), which restores the
-hand-written coroutine actors.  ``tardis`` is table-native: it has no
-legacy actor pair, so the toggle leaves it on the tables.  Only the
-``cord-nonotify`` ablation remains legacy-only.
+Every protocol but ``wb`` resolves to the *table-driven* interpreter
+(:mod:`repro.protocols.table` running the compiled
+:mod:`repro.protocols.spec` transition tables — the same tables the model
+checker executes).  ``wb`` is a MESI cache state machine rather than a
+guard/action table, so its messages-only spec declares its actor pair.
 """
 
 from __future__ import annotations
 
-import os
 import re
-from typing import Optional, Tuple, Type
+from typing import Tuple, Type
 
-from repro.protocols.ablation import CordNoNotifyCorePort, CordNoNotifyDirectory
-from repro.protocols.cord import CordCorePort, CordDirectory
-from repro.protocols.mp import MpCorePort, MpDirectory
-from repro.protocols.seq import make_seq_protocol
-from repro.protocols.so import SoCorePort, SoDirectory
-from repro.protocols.wb import WbCorePort, WbDirectory
+from repro.protocols.table import table_protocol_classes
 
 __all__ = [
     "protocol_classes",
     "available_protocols",
     "checkable_protocols",
-    "legacy_protocols_enabled",
     "validate_checkable_protocol",
 ]
 
-_STATIC = {
-    "so": (SoCorePort, SoDirectory),
-    "cord": (CordCorePort, CordDirectory),
-    "cord-nonotify": (CordNoNotifyCorePort, CordNoNotifyDirectory),
-    "mp": (MpCorePort, MpDirectory),
-    "wb": (WbCorePort, WbDirectory),
-}
+_NAMED = ("so", "cord", "cord-nonotify", "mp", "wb", "tardis")
 
-#: Protocols born on the transition tables — no legacy actors exist, so
-#: the ``REPRO_LEGACY_PROTOCOLS`` toggle does not apply to them.
-_TABLE_ONLY = ("tardis",)
+#: Known protocols the model checker has no untimed model for.
+_TIMED_ONLY = ("cord-nonotify", "wb")
 
 _SEQ_PATTERN = re.compile(r"^seq(\d+)$")
 
-#: Environment toggle for the legacy (non-table) actor implementations.
-LEGACY_ENV = "REPRO_LEGACY_PROTOCOLS"
 
-
-def legacy_protocols_enabled() -> bool:
-    """Whether ``REPRO_LEGACY_PROTOCOLS`` selects the legacy actors."""
-    return os.environ.get(LEGACY_ENV, "").strip().lower() in (
-        "1", "true", "yes", "on"
-    )
-
-
-def protocol_classes(name: str,
-                     legacy: Optional[bool] = None) -> Tuple[Type, Type]:
+def protocol_classes(name: str) -> Tuple[Type, Type]:
     """Resolve a protocol name to its (core port, directory) classes.
 
-    ``legacy=None`` (the default) follows :func:`legacy_protocols_enabled`;
-    pass ``True``/``False`` to force a side regardless of the environment.
     Raises :class:`ValueError` for unknown names (naming the valid
     choices) and out-of-range ``seq<k>`` widths — at factory time, never
     deep inside actor construction.
     """
     match = _SEQ_PATTERN.match(name)
-    if name not in _STATIC and name not in _TABLE_ONLY and not match:
+    if name not in _NAMED and not match:
         raise ValueError(
             f"unknown protocol {name!r}; choose from {available_protocols()}"
         )
@@ -90,28 +59,11 @@ def protocol_classes(name: str,
         bits = int(match.group(1))
         if not 1 <= bits <= 64:
             raise ValueError(f"seq bit-width out of range: {bits}")
-    if legacy is None:
-        legacy = legacy_protocols_enabled()
-    if name in _TABLE_ONLY:
-        legacy = False           # table-native: no legacy actors exist
-    if not legacy:
-        from repro.protocols.spec import get_spec, has_spec
-
-        if has_spec(name, rules=False):
-            spec = get_spec(name)
-            if spec.rules_complete:
-                from repro.protocols.table import table_protocol_classes
-
-                return table_protocol_classes(name)
-            if spec.actors is not None:
-                return spec.actors()
-    if match:
-        return make_seq_protocol(bits)
-    return _STATIC[name]
+    return table_protocol_classes(name)
 
 
 def available_protocols() -> Tuple[str, ...]:
-    return tuple(_STATIC) + _TABLE_ONLY + ("seq<k>",)
+    return _NAMED + ("seq<k>",)
 
 
 def checkable_protocols() -> Tuple[str, ...]:
@@ -134,7 +86,7 @@ def validate_checkable_protocol(name: str) -> None:
         if not 1 <= bits <= 64:
             raise ValueError(f"seq bit-width out of range: {bits}")
         return
-    detail = "is timed-only" if name in _STATIC else "is unknown"
+    detail = "is timed-only" if name in _TIMED_ONLY else "is unknown"
     raise ValueError(
         f"protocol {name!r} {detail} for model checking; "
         f"choose from {checkable_protocols()}"

@@ -220,11 +220,11 @@ class Machine:
             if info:
                 out[f"core{core_id}"] = info
         for node in self.directories:
-            pending = {}
-            for attr in ("_pending_releases", "_pending_reqs"):
-                queue = getattr(node, attr, None)
-                if queue:
-                    pending[attr.lstrip("_")] = len(queue)
+            # Table directories buffer not-yet-ready messages in one retry
+            # queue per message kind (WB directories keep none).
+            retry = getattr(node, "_retry", {})
+            pending = {kind: len(queue) for kind, queue in retry.items()
+                       if queue}
             if pending:
                 out[str(node.node_id)] = pending
         if self.faults is not None:

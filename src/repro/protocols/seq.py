@@ -1,27 +1,17 @@
-"""SEQ-k: the naive monolithic sequence-number baseline (§4.1, Fig. 10).
+"""The machine-global commit board behind the ``seq<k>`` and ``tardis`` tables.
 
-Every write-through store — Relaxed or Release — carries a single k-bit
-sequence number; the directory commits a Release only when all earlier
-sequence numbers from the same processor have committed.  The k-bit width
-exposes exactly the trade-off CORD's decoupled epoch/counter design breaks:
-
-* small k (SEQ-8): negligible traffic overhead, but the processor must stall
-  and flush every ``2^k`` stores to reset the counter;
-* large k (SEQ-40): no overflow stalls, but every store is inflated by the
-  extra sequence bits.
+SEQ-k — the naive monolithic sequence-number baseline (§4.1, Fig. 10) —
+and Tardis are transition tables in :mod:`repro.protocols.spec`, run by
+:mod:`repro.protocols.table`.  Both gate directory commits on
+per-processor state that spans every directory slice; that state lives
+here, one board per machine.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
-from repro.consistency.ops import MemOp
-from repro.core.seqnum import SequenceSpace
-from repro.interconnect.message import Message
-from repro.protocols.base import CorePort, DirectoryNode
-
-__all__ = ["SeqCommitBoard", "SeqCorePort", "SeqDirectory",
-           "make_seq_protocol"]
+__all__ = ["SeqCommitBoard"]
 
 
 class SeqCommitBoard:
@@ -36,7 +26,7 @@ class SeqCommitBoard:
     Directories subscribe their retry loop: a commit at one slice
     re-evaluates the others' buffered stores/flushes on a zero-delay
     event (never re-entrantly, and never for the committing slice itself
-    — single-slice machines see the exact legacy event stream).
+    — single-slice machines schedule no extra events).
     """
 
     def __init__(self, sim) -> None:
@@ -68,150 +58,3 @@ class SeqCommitBoard:
         for sub_origin, callback in self._subscribers:
             if sub_origin is not origin:
                 self.sim.schedule(0.0, callback)
-
-
-class SeqCorePort(CorePort):
-    """Processor side: one wrapping sequence number across all stores."""
-
-    #: Overridden by :func:`make_seq_protocol`.
-    SEQ_BITS = 8
-
-    def __init__(self, core) -> None:
-        super().__init__(core)
-        self.seq = SequenceSpace(self.SEQ_BITS)
-        self.flushed_watermark = 0      # all seqs < watermark known committed
-        self.flush_signal = self.sim.signal(f"seq_flush@core{core.core_id}")
-        self._flush_pending = False
-
-    def store(self, op: MemOp, program_index: int) -> Generator:
-        self._note_destination(self.home(op.addr).index)
-        if self.seq.would_alias(self.flushed_watermark):
-            yield from self._flush("seq_overflow")
-        seq_value = self.seq.value
-        self.seq.advance()
-        ordered = op.ordering.is_release or self.machine.consistency in ("tso", "sc")
-        self.network.send(Message(
-            src=self.node,
-            dst=self.home(op.addr),
-            msg_type="seq_store",
-            size_bytes=self.sizes.data_bytes(op.size, self.SEQ_BITS),
-            control=False,
-            payload={
-                "addr": op.addr,
-                "value": op.value,
-                "size": op.size,
-                "proc": self.core.core_id,
-                "program_index": program_index,
-                "ordering": op.ordering,
-                "seq": seq_value,
-                "ordered": ordered,
-            },
-        ))
-
-    def _flush(self, cause: str) -> Generator:
-        """Stall until the directory confirms all prior seqs committed."""
-        started = self.sim.now
-        self._flush_pending = True
-        # A flush targets the (single) directory this core stores to; with
-        # multiple destinations, broadcast.  The micro-benchmark that
-        # exercises SEQ (Fig. 10) uses fan-out 1.
-        for dir_index in self._destinations():
-            self.network.send(Message(
-                src=self.node,
-                dst=self.machine.directory_id(dir_index),
-                msg_type="seq_flush",
-                size_bytes=self.sizes.control_bytes(self.SEQ_BITS),
-                control=True,
-                payload={"proc": self.core.core_id, "upto": self.seq.value},
-            ))
-        while self._flush_pending:
-            yield self.flush_signal
-        self.flushed_watermark = self.seq.value
-        self.stall(cause, self.sim.now - started)
-
-    def _destinations(self) -> List[int]:
-        dirs = getattr(self, "_seen_dirs", None)
-        return sorted(dirs) if dirs else []
-
-    def _note_destination(self, dir_index: int) -> None:
-        if not hasattr(self, "_seen_dirs"):
-            self._seen_dirs = set()
-        self._seen_dirs.add(dir_index)
-
-    def fence(self, op: MemOp, program_index: int) -> Generator:
-        if not op.ordering.is_release:
-            return  # acquire barriers order nothing SEQ tracks
-        yield from self.drain()
-
-    def drain(self) -> Generator:
-        """A release fence may not complete with uncommitted sequence
-        numbers outstanding.  (Previously inherited the no-op drain, so
-        fences ordered nothing — the model checker always gated them.)"""
-        if self.seq.value > self.flushed_watermark:
-            yield from self._flush("seq_drain")
-
-    def on_message(self, message: Message) -> None:
-        if message.msg_type == "seq_flush_ack":
-            if not self._flush_pending:
-                return  # stale ack from a multi-directory flush broadcast
-            self._flush_pending = False
-            self.flush_signal.trigger()
-        else:
-            super().on_message(message)
-
-
-class SeqDirectory(DirectoryNode):
-    """Directory side: per-processor committed-count watermarks."""
-
-    def __init__(self, machine, node_id) -> None:
-        super().__init__(machine, node_id)
-        self.board = machine.seq_board()
-        self.board.subscribe(self, self._progress)
-        #: Alias of the machine-global counts (legacy name, kept for
-        #: diagnostics; the gating below must be machine-wide).
-        self.committed_count = self.board.committed
-        self._pending: List[Message] = []
-        self._pending_flushes: List[Message] = []
-
-    def on_seq_store(self, message: Message) -> None:
-        self._pending.append(message)
-        self._progress()
-
-    def on_seq_flush(self, message: Message) -> None:
-        self._pending_flushes.append(message)
-        self._progress()
-
-    def _progress(self) -> None:
-        changed = True
-        while changed:
-            changed = False
-            for message in list(self._pending):
-                payload = message.payload
-                proc = payload["proc"]
-                if payload["ordered"] and self.board.count(proc) < payload["seq"]:
-                    continue  # a Release-like store waits for all priors
-                self._pending.remove(message)
-                self.commit_store(message)
-                self.board.commit(proc, origin=self)
-                changed = True
-            for message in list(self._pending_flushes):
-                proc = message.payload["proc"]
-                if self.board.count(proc) >= message.payload["upto"]:
-                    self._pending_flushes.remove(message)
-                    self.network.send(Message(
-                        src=self.node_id,
-                        dst=message.src,
-                        msg_type="seq_flush_ack",
-                        size_bytes=self.sizes.control_bytes(),
-                        control=True,
-                        payload={},
-                    ))
-                    changed = True
-        self.track_buffered(len(self._pending) + len(self._pending_flushes))
-
-
-def make_seq_protocol(bits: int):
-    """Build (core-port, directory) classes for a k-bit SEQ variant."""
-
-    port_cls = type(f"SeqCorePort{bits}", (SeqCorePort,), {"SEQ_BITS": bits})
-    return port_cls, SeqDirectory

@@ -1,15 +1,15 @@
-"""One declarative protocol spec, two interpreters (ROADMAP open item #1).
+"""One declarative protocol spec, two interpreters.
 
 Every protocol used to exist twice: as a timed coroutine actor in
 :mod:`repro.protocols` and as an untimed operational model hard-coded into
-:mod:`repro.litmus.model_checker`.  PR 6's generated-conformance layer
-proved the duplication breeds real divergence bugs.  This module is the
-fix, following the shape of the Edinburgh lazy-coherence verification work
-(Banks et al.) and BedRock: each protocol is a *transition table* —
-state-predicate guards, state-update actions and emitted messages, with an
-explicit FIFO/ordering class per message type — and both the timed
-simulator (:mod:`repro.protocols.table`) and the model checker interpret
-the *same* table object.
+:mod:`repro.litmus.model_checker`, and the duplication bred real
+divergence bugs.  This module is the fix, following the shape of the
+Edinburgh lazy-coherence verification work (Banks et al.) and BedRock:
+each protocol is a *transition table* — state-predicate guards,
+state-update actions and emitted messages, with an explicit FIFO/ordering
+class per message type — and both the timed simulator
+(:mod:`repro.protocols.table`) and the model checker interpret the *same*
+table object.
 
 Row schema
 ----------
@@ -59,7 +59,7 @@ bug shape, eliminated structurally.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.processor import StallReason
@@ -224,6 +224,12 @@ class IssueRule:
     #: Write-combining: Relaxed stores route through the combining
     #: buffer; ordered ops flush it first.
     combining: bool = False
+    #: Ordered-store rows only, timed side: before the op issues, drain
+    #: every *other* directory with pending epoch state through
+    #: acknowledged barrier Releases (source ordering across
+    #: directories, the ``cord-nonotify`` ablation of §4.2's
+    #: notifications).  Barrier Releases themselves never drain.
+    source_drain: bool = False
 
 
 @dataclass(frozen=True)
@@ -236,8 +242,8 @@ class FenceRule:
     wait for their acknowledgments.  ``timed_drain`` names the timed
     interpreter's drain mechanism (``"acks"``: wait for the ack counter;
     ``"barriers"``: CORD's broadcast; ``"flush"``: SEQ's flush protocol)
-    and ``timed_drain_on_acquire`` keeps the legacy timed conservatism of
-    draining on *any* fence (SO) — outcome-invariant, timing-visible.
+    and ``timed_drain_on_acquire`` keeps SO's timed conservatism of
+    draining on *any* fence — outcome-invariant, timing-visible.
     """
 
     done: Callable[[Any], bool]
@@ -359,8 +365,8 @@ class ProtocolSpec:
     #: Messages-only spec: ordering metadata for the checker, no
     #: interpreted rules.
     rules_complete: bool = True
-    #: For messages-only specs that still route through the default
-    #: (non-legacy) factory path: a zero-argument callable returning the
+    #: For messages-only specs the factory still resolves: a
+    #: zero-argument callable returning the
     #: ``(CorePortClass, DirectoryClass)`` actor pair.  WB's MESI state
     #: machine is request/response-shaped rather than guard/action-shaped,
     #: so its spec declares messages plus actors instead of rules.
@@ -511,9 +517,9 @@ def cord_barrier_batch_reason(cord: Any) -> Optional[StallReason]:
     A fence issues one empty Release per pending directory *atomically*
     (the pending set is computed once — issuing the first barrier clears
     the store counters, which would otherwise shrink the set mid-fence).
-    The legacy checker guarded only the first issue, so a batch of ``k``
-    barriers could blow through the unacked-epoch table or the epoch
-    window mid-step and crash exploration (``release store must stall``)
+    Guarding only the first issue would let a batch of ``k`` barriers
+    blow through the unacked-epoch table or the epoch window mid-step
+    and crash exploration (``release store must stall``)
     exactly in the under-provisioned §4.5 corner the checker exists to
     probe.  This predicate bounds the *whole batch*: ``k`` free
     unacked-table entries, ``k`` epoch advances inside the alias window,
@@ -957,6 +963,26 @@ CORD_SPEC = ProtocolSpec(
 )
 
 
+#: Ablation: CORD without inter-directory notifications.  Directory
+#: ordering still holds *within* each directory, but a Release whose epoch
+#: has pending state at other directories first drains them at the source
+#: (``source_drain``), so its own issue finds nothing to notify.  At
+#: fan-out 1 this is exactly CORD; at higher fan-outs it re-introduces the
+#: processor stalls notifications exist to avoid
+#: (``benchmarks/test_ablation_notifications.py`` measures the gap).
+#: Timed-only: the checker models CORD itself.
+CORD_NONOTIFY_SPEC = replace(
+    CORD_SPEC,
+    name="cord-nonotify",
+    issue={
+        **CORD_SPEC.issue,
+        ("store", True): replace(
+            CORD_SPEC.issue[("store", True)],
+            name="cord-nonotify-release-store", source_drain=True),
+    },
+)
+
+
 MP_SPEC = ProtocolSpec(
     name="mp",
     core_state="so",
@@ -1178,6 +1204,7 @@ TARDIS_SPEC = ProtocolSpec(
 _SPECS: Dict[str, ProtocolSpec] = {
     "so": SO_SPEC,
     "cord": CORD_SPEC,
+    "cord-nonotify": CORD_NONOTIFY_SPEC,
     "mp": MP_SPEC,
     "wb": WB_SPEC,
     "tardis": TARDIS_SPEC,
@@ -1207,7 +1234,7 @@ def has_spec(protocol: str, rules: bool = True) -> bool:
 
 def spec_protocols() -> Tuple[str, ...]:
     """Protocols with fully rule-complete tables."""
-    return ("so", "cord", "mp", "seq<k>", "tardis")
+    return ("so", "cord", "cord-nonotify", "mp", "seq<k>", "tardis")
 
 
 # ---------------------------------------------------------------------------
@@ -1298,6 +1325,8 @@ def lint_spec(spec: ProtocolSpec) -> List[str]:
     * no two rows share a key (enforced by the mapping) and rows that
       share a guard do not disagree on escape (overlapping guards with
       conflicting actions);
+    * ``source_drain`` sits only on a CORD ordered-store row, the one
+      place the timed interpreter reads it;
     * delivery rules only reference declared messages.
     """
     problems: List[str] = []
@@ -1319,6 +1348,11 @@ def lint_spec(spec: ProtocolSpec) -> List[str]:
             problems.append(
                 f"{spec.name}/{rule.name}: barrier escape without an "
                 f"ordered store row to issue it through")
+        if rule.source_drain and (key != ("store", True)
+                                  or spec.core_state != "cord"):
+            problems.append(
+                f"{spec.name}/{rule.name}: source_drain is only "
+                f"interpreted on a CORD ordered-store row")
         prior = by_guard.get((rule.guard, rule.op_class))
         if prior is not None and prior.escape != rule.escape:
             problems.append(

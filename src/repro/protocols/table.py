@@ -2,9 +2,9 @@
 
 One generic core-port class and one generic directory class run any
 rule-complete :class:`~repro.protocols.spec.ProtocolSpec` — the same
-table object the model checker interprets — replacing the hand-written
-``so``/``cord``/``seq`` actors and their per-message ``on_<type>``
-handler-lookup chains with flat table dispatch.
+table object the model checker interprets — with flat table dispatch
+instead of per-protocol actors and per-message ``on_<type>`` handler
+lookups.
 
 What lives here is strictly *interpreter scaffolding*: the event-loop
 plumbing (signals, generators, stall accounting), the wire transport
@@ -13,11 +13,10 @@ plumbing (signals, generators, stall accounting), the wire transport
 commit, what a commit does — is executed straight from the table, so the
 timed simulator and the checker cannot diverge on them.
 
-The interpretation is behaviour-preserving with respect to the legacy
-actors for ``so`` and ``cord`` (pinned byte-identical by the PR 4
-final-state-hash basket) and fixes two real divergences for ``seq<k>``
-(machine-global commit gating and release-fence draining; see
-``tests/protocols/test_seq_divergence.py``).
+Timed behaviour is pinned byte-for-byte by the final-state-hash basket
+(``tests/test_state_hash.py``); the ``seq<k>`` commit gating and
+release-fence draining regressions live in
+``tests/protocols/test_seq_divergence.py``.
 """
 
 from __future__ import annotations
@@ -70,7 +69,7 @@ __all__ = ["TableCorePort", "TableDirectory", "make_table_protocol",
 #: Environment toggle: run the compiled tables through the original
 #: guard/action closures instead of the int-coded fast paths (the
 #: compiled-vs-interpreted differential seam; also mixed into the
-#: executor's cache key like ``REPRO_LEGACY_PROTOCOLS``).
+#: executor's cache key).
 INTERPRETED_ENV = "REPRO_INTERPRETED_TABLES"
 
 
@@ -262,6 +261,7 @@ class TableCorePort(CorePort):
         self._mid_req_notify = mid_of("req_notify")
         self._mid_wt_rel = mid_of("wt_rel")
         self._store_escape_flush = self._rule_store_t.escape == "flush"
+        self._source_drain = self._rule_store_t.source_drain
         self._relaxed_combining = self._rule_store_f.combining
         self._relaxed_barrier = self._rule_store_f.escape == "barrier"
         self._wc_enabled = self.wc.enabled
@@ -531,9 +531,20 @@ class TableCorePort(CorePort):
 
     def _release_to(self, op: MemOp, program_index: int, dir_index: int,
                     barrier: bool = False) -> Generator:
-        """The ordered-store row: guard-wait, then emit (fire-and-forget)."""
+        """The ordered-store row: guard-wait, then emit (fire-and-forget).
+
+        A ``source_drain`` row (``cord-nonotify``) first drains every
+        other pending directory at the source, so the Release has nothing
+        left to request notifications for."""
         rule = self._rule_store_t
         if not barrier:
+            if self._source_drain:
+                pending = self.cord.pending_directories(exclude=dir_index)
+                if pending:
+                    started = self.sim.now
+                    yield from self._barrier_broadcast(pending,
+                                                       program_index)
+                    self.stall("cross_dir_drain", self.sim.now - started)
             yield from self.wc_flush()      # a Release orders buffered stores
         yield from self._wait_guard(rule, dir_index)
         self._issue_and_send(rule, op.addr, op.size, op.value, program_index,
@@ -565,6 +576,25 @@ class TableCorePort(CorePort):
             self._issue_and_send(rule, write.addr, write.size, write.value,
                                  program_index, dir_index, Ordering.RELAXED,
                                  values=write.values)
+
+    def _barrier_broadcast(self, pending: List[int],
+                           program_index: int) -> Generator:
+        """Send one empty barrier Release (§4.4) to each ``pending``
+        directory, then wait until all of them are acknowledged.
+
+        Returns the time the last barrier issued (the fence accounts its
+        stall from there)."""
+        issued: List[Tuple[int, int]] = []
+        for dir_index in pending:
+            epoch = self.cord.epoch.value
+            fake = MemOp.release_store(addr=0, value=None, size=0)
+            yield from self._release_to(fake, program_index, dir_index,
+                                        barrier=True)
+            issued.append((dir_index, epoch))
+        issued_at = self.sim.now
+        while any(key in self.cord.unacked for key in issued):
+            yield self.ack_signal
+        return issued_at
 
     def _barrier_release(self, dir_index: int,
                          program_index: int) -> Generator:
@@ -764,30 +794,19 @@ class TableCorePort(CorePort):
             # CORD §4.4: broadcast empty barrier Releases to every pending
             # directory, then wait for their acknowledgments.
             yield from self.wc_flush()
-            pending = self.cord.pending_directories()
-            issued: List[Tuple[int, int]] = []
-            for dir_index in pending:
-                epoch = self.cord.epoch.value
-                fake = MemOp.release_store(addr=0, value=None, size=0)
-                yield from self._release_to(fake, program_index, dir_index,
-                                            barrier=True)
-                issued.append((dir_index, epoch))
-            started = self.sim.now
-            while any(key in self.cord.unacked for key in issued):
-                yield self.ack_signal
-            self.stall(fr.stall_cause, self.sim.now - started)
+            issued_at = yield from self._barrier_broadcast(
+                self.cord.pending_directories(), program_index)
+            self.stall(fr.stall_cause, self.sim.now - issued_at)
         elif fr.timed_drain == "flush":
             # SEQ: a release fence must not complete with uncommitted
-            # sequence numbers outstanding (divergence fix — the legacy
-            # actor inherited the no-op drain and let releases fence
-            # nothing; the checker always gated on seq_outstanding == 0).
+            # sequence numbers outstanding (the checker gates on
+            # seq_outstanding == 0).
             if self.seq_next > self.seq_watermark:
                 yield from self._flush(fr.stall_cause)
         elif fr.timed_drain == "none":
             # MP posted writes: nothing is ever outstanding and ordering
             # comes entirely from the channel FIFO, so a release fence is
-            # a pure no-op — matching the legacy actor's inherited empty
-            # drain, which does not flush the write-combining buffer
+            # a pure no-op — it does not flush the write-combining buffer
             # either.
             return
         else:                               # "acks"
@@ -855,9 +874,8 @@ class TableDirectory(DirectoryNode):
     """Directory side of any rule-complete table.
 
     Messages with a delivery guard and a retry queue are buffered
-    ("recycled", Alg. 2) and re-evaluated by :meth:`_progress` — the
-    generic form of the legacy CORD/SEQ retry loops; everything else is
-    applied immediately through the table's effect."""
+    ("recycled", Alg. 2) and re-evaluated by :meth:`_progress`;
+    everything else is applied immediately through the table's effect."""
 
     SPEC: ProtocolSpec = None           # bound by make_table_protocol
 
@@ -871,11 +889,10 @@ class TableDirectory(DirectoryNode):
                 machine.config.cord)
         self.board = None
         if spec.core_state in ("seq", "tardis"):
-            # Machine-global committed counts (divergence fix: the legacy
-            # per-directory counts deadlock cross-directory releases).
+            # Machine-global committed counts (per-directory counts
+            # deadlock cross-directory releases).
             self.board = machine.seq_board()
             self.board.subscribe(self, self._progress)
-            self.committed_count = self.board.committed
         # Tardis per-line timestamps: write-ts and read-lease end, both
         # directory-resident (no sharer lists, no invalidations).
         self._tardis_wts: Optional[Dict[int, int]] = None
@@ -888,16 +905,6 @@ class TableDirectory(DirectoryNode):
             name: [] for name in spec.retry_order
         }
         self._buffered_total = 0
-        # Legacy attribute names, read by the machine's deadlock
-        # diagnostics and existing tests.
-        if "wt_rel" in self._retry:
-            self._pending_releases = self._retry["wt_rel"]
-            self._pending_reqs = self._retry["req_notify"]
-        if "seq_store" in self._retry:
-            self._pending = self._retry["seq_store"]
-            self._pending_flushes = self._retry["seq_flush"]
-        if "tardis_store" in self._retry:
-            self._pending = self._retry["tardis_store"]
         # Compiled dispatch mirrors the core port: per-mid wire constants
         # and delivery opcodes replace the per-message name lookups.
         compiled = compile_spec(spec)
@@ -1190,8 +1197,8 @@ def make_table_protocol(
             # implementation.
             return spec.actors()
         raise ValueError(
-            f"protocol {spec.name!r} has a messages-only table; "
-            f"its actors stay on the legacy path"
+            f"protocol {spec.name!r} has a messages-only table and "
+            f"declares no actor pair"
         )
     title = spec.name.replace("-", " ").title().replace(" ", "")
     port_cls = type(f"Table{title}CorePort", (TableCorePort,),

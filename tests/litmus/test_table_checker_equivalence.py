@@ -1,13 +1,11 @@
-"""Checker table-vs-legacy equivalence, plus the fence-batch regression.
+"""Checker regressions the classic-suite signatures do not cover.
 
-The model checker can interpret each protocol either through its legacy
-hand-written transition code or through the shared transition table
-(:mod:`repro.protocols.spec`).  Both must explore the *same state graph*:
-identical state counts, transition counts, deadlock counts and final
-outcome sets — anything less means the table is not the protocol.
+``tests/data/checker_signatures.json`` pins the state graph (states,
+transitions, deadlocks, outcome sets) of every classic litmus test under
+every checkable protocol.  This module adds the CORD fence-batch bound
+under starved tables — pinned by its own recorded signature — and the
+SEQ stores-drained gate.
 """
-
-import pytest
 
 from repro.config import CordConfig
 from repro.litmus.dsl import (
@@ -19,10 +17,6 @@ from repro.litmus.dsl import (
     st_rel,
 )
 from repro.litmus.model_checker import ModelChecker
-from repro.litmus.suite import classic_tests
-
-PROTOCOLS = ("so", "cord", "mp", "seq2")
-
 
 def _signature(test, protocol, **kwargs):
     result = ModelChecker(test, protocol, max_states=200_000,
@@ -32,24 +26,6 @@ def _signature(test, protocol, **kwargs):
     )
     return (result.states_explored, result.stats["transitions"],
             result.deadlocks, outcomes)
-
-
-class TestCheckerEquivalence:
-    @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_classic_suite_identical_state_graphs(self, protocol):
-        for test in classic_tests():
-            table = _signature(test, protocol, use_tables=True)
-            legacy = _signature(test, protocol, use_tables=False)
-            assert table == legacy, (
-                f"{test.name} under {protocol}: table-driven exploration "
-                f"diverged from the legacy transition code"
-            )
-
-    def test_tso_mode_identical(self):
-        test = classic_tests()[0]
-        for protocol in ("so", "cord"):
-            assert (_signature(test, protocol, use_tables=True, tso=True)
-                    == _signature(test, protocol, use_tables=False, tso=True))
 
 
 #: Relaxed stores to two homes, then a release fence: the fence must
@@ -75,28 +51,34 @@ TINY_CORD = CordConfig(
 )
 
 
+#: FENCE_BATCH under TINY_CORD: (states, transitions, deadlocks) and the
+#: outcome set, recorded when the checker still carried a second,
+#: hand-written CORD model that explored the identical graph.
+STARVED_SIGNATURE = (193, 329, 0, sorted(
+    (("P1:r0", r0), ("P1:r1", r1), ("P1:r2", r2),
+     ("mem:flag", 1), ("mem:x", 1), ("mem:y", 1))
+    for r0, r1, r2 in ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
+                       (1, 1, 1))
+))
+
+
 class TestCordFenceBatch:
     """Divergence fix: a release fence issues its barrier batch atomically,
     so the whole batch — not just the first barrier — must fit the
     unacked-epoch table, the epoch window and the directory partitions.
-    The legacy checker guarded only the first issue and crashed
-    (``release store must stall``) on under-provisioned configs."""
+    Guarding only the first issue crashed exploration (``release store
+    must stall``) on under-provisioned configs."""
 
-    @pytest.mark.parametrize("use_tables", [True, False],
-                             ids=["table", "legacy"])
-    def test_starved_tables_explore_without_crashing(self, use_tables):
+    def test_starved_tables_explore_without_crashing(self):
         result = ModelChecker(FENCE_BATCH, "cord", cord_config=TINY_CORD,
-                              max_states=200_000,
-                              use_tables=use_tables).run()
+                              max_states=200_000).run()
         assert result.states_explored > 0
         for final in result.finals:
             assert FENCE_BATCH.matches_forbidden(final.outcome) is None
 
-    def test_both_paths_agree_on_starved_tables(self):
-        assert (_signature(FENCE_BATCH, "cord", cord_config=TINY_CORD,
-                           use_tables=True)
-                == _signature(FENCE_BATCH, "cord", cord_config=TINY_CORD,
-                              use_tables=False))
+    def test_starved_signature_is_pinned(self):
+        assert (_signature(FENCE_BATCH, "cord", cord_config=TINY_CORD)
+                == STARVED_SIGNATURE)
 
     def test_batch_reason_bounds_whole_batch(self):
         from repro.core.processor import CordProcessorState
@@ -110,14 +92,14 @@ class TestCordFenceBatch:
         assert cord_barrier_batch_reason(idle) is None
 
         # Three pending directories vs a 2-entry unacked table: the first
-        # barrier alone would fit (the legacy guard passed), the batch
-        # cannot.
+        # barrier alone would fit (a first-issue-only guard passes), the
+        # batch cannot.
         cord = CordProcessorState(0, config)
         for directory in (0, 1, 2):
             cord.on_relaxed_store(directory)
         reason = cord_barrier_batch_reason(cord)
         assert reason is not None
-        assert cord.release_stall_reason(0) is None  # legacy guard blind
+        assert cord.release_stall_reason(0) is None  # first-issue guard blind
 
         # Two pending directories fit the 2-entry table: the batch clears.
         cord = CordProcessorState(0, config)
@@ -132,9 +114,7 @@ class TestStoresDrainedGate:
     numbers, so exploration could declare a state final (or deadlocked)
     with seq stores still buffered at a directory."""
 
-    @pytest.mark.parametrize("use_tables", [True, False],
-                             ids=["table", "legacy"])
-    def test_seq_message_passing_is_clean(self, use_tables):
+    def test_seq_message_passing_is_clean(self):
         test = LitmusTest(
             name="seq-mp",
             locations={"x": 0, "flag": 1},
@@ -144,8 +124,7 @@ class TestStoresDrainedGate:
             ],
             forbidden=[{"P1:r0": 1, "P1:r1": 0}],
         )
-        result = ModelChecker(test, "seq2", max_states=200_000,
-                              use_tables=use_tables).run()
+        result = ModelChecker(test, "seq2", max_states=200_000).run()
         assert result.deadlocks == 0
         for final in result.finals:
             assert test.matches_forbidden(final.outcome) is None

@@ -1,10 +1,9 @@
 """Model-checking the Tardis backend.
 
-Tardis has no legacy inline model, so it cannot join the table-vs-legacy
-equivalence sweeps; the exhaustive checker itself is the oracle here:
-every classic litmus shape must pass (forbidden outcomes unreachable,
-RC-clean finals, no deadlocks) under the tardis spec, driven by the same
-transition table the timed simulator interprets.
+The exhaustive checker itself is the oracle here: every classic litmus
+shape must pass (forbidden outcomes unreachable, RC-clean finals, no
+deadlocks) under the tardis spec, driven by the same transition table the
+timed simulator interprets.
 """
 
 import pytest

@@ -9,8 +9,10 @@ from tests.protocols.conftest import producer_consumer
 class TestCordNoNotify:
     def test_registered_in_factory(self):
         from repro.protocols import protocol_classes
+        from repro.protocols.spec import get_spec
         port_cls, dir_cls = protocol_classes("cord-nonotify")
-        assert port_cls.__name__ == "CordNoNotifyCorePort"
+        assert port_cls.__name__ == "TableCordNonotifyCorePort"
+        assert port_cls.SPEC is dir_cls.SPEC is get_spec("cord-nonotify")
 
     def test_single_directory_behaviour_matches_cord(self, two_hosts):
         def run(protocol):

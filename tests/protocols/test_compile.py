@@ -13,7 +13,8 @@ Four concerns:
   when the spec object changes.
 * **Differential** — ``REPRO_INTERPRETED_TABLES=1`` routes the same
   compiled tables through the original closures; both dispatch modes
-  must produce byte-identical ``final_state_hash`` for every protocol.
+  must produce byte-identical ``final_state_hash`` for every protocol,
+  and cache under distinct keys.
 """
 
 import dataclasses
@@ -22,7 +23,7 @@ import pytest
 
 from repro.config import CXL
 from repro.harness import RunSpec
-from repro.harness.executor import _execute_spec
+from repro.harness.executor import _execute_spec, code_version
 from repro.harness.experiments import default_config
 from repro.protocols.compile import (
     A_CORD_RELAXED,
@@ -48,7 +49,6 @@ from repro.protocols.compile import (
     G_TRUE,
     compile_spec,
 )
-from repro.protocols.factory import LEGACY_ENV
 from repro.protocols.spec import LintError, get_spec, lint_spec
 from repro.protocols.table import INTERPRETED_ENV
 from repro.workloads.micro import MicroSpec
@@ -179,7 +179,7 @@ class TestLowering:
     def test_compiled_rows_mirror_their_rules(self):
         # Generic interpreter paths read the mirrored IssueRule fields off
         # the compiled row; they must stay in lockstep with the source.
-        for name in ("so", "cord", "mp", "seq8"):
+        for name in ("so", "cord", "cord-nonotify", "mp", "seq8"):
             spec = get_spec(name)
             compiled = compile_spec(spec)
             for key, row in compiled.issue.items():
@@ -190,6 +190,7 @@ class TestLowering:
                 assert row.effects is rule.effects
                 assert row.escape == rule.escape
                 assert row.combining == rule.combining
+                assert row.source_drain == rule.source_drain
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +235,10 @@ class TestCompiledInterpretedDifferential:
     original closures must time out to byte-identical final states."""
 
     @pytest.mark.parametrize(
-        "protocol", ["so", "cord", "seq8", "mp", "wb", "tardis"])
+        "protocol",
+        ["so", "cord", "cord-nonotify", "seq8", "mp", "wb", "tardis"])
     def test_final_state_hash_matches(self, protocol, monkeypatch):
         spec = _point(protocol)
-        monkeypatch.delenv(LEGACY_ENV, raising=False)
         monkeypatch.delenv(INTERPRETED_ENV, raising=False)
         compiled = _execute_spec(spec).final_state_hash
         monkeypatch.setenv(INTERPRETED_ENV, "1")
@@ -245,3 +246,13 @@ class TestCompiledInterpretedDifferential:
         assert compiled == interpreted, (
             f"{protocol}: compiled dispatch diverged from the "
             f"interpreted closures")
+
+
+class TestCacheKey:
+    def test_interpreted_toggle_changes_code_version(self, monkeypatch):
+        # Same sources, same tables, different dispatch: cached records
+        # must not alias.
+        monkeypatch.delenv(INTERPRETED_ENV, raising=False)
+        compiled_version = code_version()
+        monkeypatch.setenv(INTERPRETED_ENV, "1")
+        assert code_version() != compiled_version

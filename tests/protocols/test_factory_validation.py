@@ -1,4 +1,4 @@
-"""Factory-time validation and the legacy/table toggle.
+"""Factory-time validation and protocol routing.
 
 Unknown protocol names and uncheckable combinations must fail at the
 factory with errors that name the valid choices — not as attribute
@@ -11,10 +11,8 @@ from repro import Machine, SystemConfig
 from repro.litmus.dsl import LitmusTest, ld, st
 from repro.litmus.model_checker import ModelChecker
 from repro.protocols.factory import (
-    LEGACY_ENV,
     available_protocols,
     checkable_protocols,
-    legacy_protocols_enabled,
     protocol_classes,
     validate_checkable_protocol,
 )
@@ -61,55 +59,16 @@ class TestFactoryValidation:
             validate_checkable_protocol(name)  # must not raise
 
 
-class TestLegacyToggle:
-    def test_env_values(self, monkeypatch):
-        for value in ("1", "true", "YES", "on"):
-            monkeypatch.setenv(LEGACY_ENV, value)
-            assert legacy_protocols_enabled()
-        for value in ("", "0", "false", "off"):
-            monkeypatch.setenv(LEGACY_ENV, value)
-            assert not legacy_protocols_enabled()
-
-    def test_default_is_table_driven(self, monkeypatch):
-        monkeypatch.delenv(LEGACY_ENV, raising=False)
-        for name in ("so", "cord", "mp", "seq8"):
+class TestFactoryRouting:
+    def test_write_through_runs_on_tables(self):
+        for name in ("so", "cord", "cord-nonotify", "mp", "seq8", "tardis"):
             port_cls, dir_cls = protocol_classes(name)
             assert port_cls.__name__.startswith("Table")
             assert dir_cls.__name__.startswith("Table")
 
-    def test_env_selects_legacy_actors(self, monkeypatch):
-        monkeypatch.setenv(LEGACY_ENV, "1")
-        for name in ("so", "cord", "mp", "seq8"):
-            port_cls, _ = protocol_classes(name)
-            assert not port_cls.__name__.startswith("Table")
-
-    def test_explicit_argument_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(LEGACY_ENV, "1")
-        port_cls, _ = protocol_classes("cord", legacy=False)
-        assert port_cls.__name__ == "TableCordCorePort"
-        monkeypatch.delenv(LEGACY_ENV, raising=False)
-        port_cls, _ = protocol_classes("cord", legacy=True)
-        assert port_cls.__name__ == "CordCorePort"
-
-    def test_wb_routes_through_spec_actors(self, monkeypatch):
+    def test_wb_routes_through_spec_actors(self):
         # wb has a messages-only spec with a declared actor pair: the
-        # default path resolves through the spec, not the _STATIC map,
-        # but lands on the same classes either way.
-        monkeypatch.delenv(LEGACY_ENV, raising=False)
+        # factory resolves it through the spec.
         port_cls, dir_cls = protocol_classes("wb")
         assert port_cls.__name__ == "WbCorePort"
         assert dir_cls.__name__ == "WbDirectory"
-
-    def test_legacy_only_protocols_unaffected_by_toggle(self, monkeypatch):
-        monkeypatch.delenv(LEGACY_ENV, raising=False)
-        for name in ("wb", "cord-nonotify"):
-            port_cls, _ = protocol_classes(name)
-            assert not port_cls.__name__.startswith("Table")
-
-    def test_tardis_stays_on_tables_under_legacy_toggle(self, monkeypatch):
-        # Table-native: tardis has no legacy actor pair, so the toggle
-        # must leave it on the table interpreter instead of failing.
-        monkeypatch.setenv(LEGACY_ENV, "1")
-        port_cls, dir_cls = protocol_classes("tardis")
-        assert port_cls.__name__ == "TableTardisCorePort"
-        assert dir_cls.__name__ == "TableTardisDirectory"

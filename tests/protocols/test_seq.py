@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Machine, ProgramBuilder
-from repro.protocols import make_seq_protocol
+from repro.protocols.table import table_protocol_classes
 from tests.protocols.conftest import producer_consumer
 
 
@@ -61,7 +61,7 @@ class TestOverflow:
 
 class TestFactory:
     def test_make_seq_protocol_sets_bits(self):
-        port_cls, _ = make_seq_protocol(12)
+        port_cls, _ = table_protocol_classes("seq12")
         assert port_cls.SEQ_BITS == 12
 
     def test_invalid_bits_rejected(self):

@@ -1,40 +1,27 @@
 """Regressions for the SEQ timed/checker divergences the audit found.
 
-Two real bugs lived in the legacy timed SEQ actors (the untimed checker
-model always had the correct behaviour):
+Two real bugs lived in the original hand-written timed SEQ actors (the
+untimed checker model always had the correct behaviour):
 
 * **Per-directory commit counts.**  Release-like ``seq_store`` gating
   compared the store's sequence number against the count of commits *at
   its own directory slice* — but prior stores fan out across slices, so
   any producer that touched two slices before a Release deadlocked (the
   release's home slice could never observe the other slice's commits).
-  Both actor stacks now gate on :class:`repro.protocols.seq.SeqCommitBoard`,
-  the machine-global counts the checker always summed.
+  The table interpreter gates on
+  :class:`repro.protocols.seq.SeqCommitBoard`, the machine-global counts
+  the checker always summed.
 
-* **Fence-less fences.**  The legacy port inherited the base no-op
+* **Fence-less fences.**  The hand-written port inherited the base no-op
   ``drain``, so a release fence ordered nothing; the checker has always
   blocked fences until the sequence stream drained.  Release fences now
   flush (acquire fences stay free — SEQ tracks nothing they order).
-
-Both fixes apply to the legacy actors and the table interpreter alike;
-the tests run under each via the ``REPRO_LEGACY_PROTOCOLS`` toggle.
 """
 
 import pytest
 
 from repro import Machine, ProgramBuilder, SystemConfig
 from repro.consistency.ops import Ordering
-from repro.protocols.factory import LEGACY_ENV
-
-
-@pytest.fixture(params=["table", "legacy"])
-def actors(request, monkeypatch):
-    """Run each test once per actor stack."""
-    if request.param == "legacy":
-        monkeypatch.setenv(LEGACY_ENV, "1")
-    else:
-        monkeypatch.delenv(LEGACY_ENV, raising=False)
-    return request.param
 
 
 def _addresses_on_distinct_slices(machine, host):
@@ -50,7 +37,7 @@ def _addresses_on_distinct_slices(machine, host):
 
 
 class TestCrossSliceRelease:
-    def test_release_after_stores_to_two_slices_completes(self, actors):
+    def test_release_after_stores_to_two_slices_completes(self):
         # Pre-fix this deadlocked: the Release's home slice waited forever
         # for a commit count only the *other* slice was incrementing.
         config = SystemConfig().scaled(hosts=2, cores_per_host=2)
@@ -73,7 +60,7 @@ class TestCrossSliceRelease:
         assert result.history.register(consumer_core, "r0") == 7
         assert result.history.register(consumer_core, "r1") == 9
 
-    def test_release_commits_after_both_slices(self, actors):
+    def test_release_commits_after_both_slices(self):
         config = SystemConfig().scaled(hosts=2, cores_per_host=2)
         machine = Machine(config, protocol="seq8")
         data_a, data_b = _addresses_on_distinct_slices(machine, 1)
@@ -92,7 +79,7 @@ class TestCrossSliceRelease:
 
 
 class TestReleaseFenceDrains:
-    def test_release_fence_flushes_outstanding_seqs(self, actors, two_hosts):
+    def test_release_fence_flushes_outstanding_seqs(self, two_hosts):
         machine = Machine(two_hosts, protocol="seq8")
         addr = machine.address_map.address_in_host(1, 0x1000)
         program = (ProgramBuilder("fencer")
@@ -104,7 +91,7 @@ class TestReleaseFenceDrains:
         assert result.message_count("seq_flush") >= 1
         assert result.stall_ns("seq_drain") > 0
 
-    def test_acquire_fence_stays_free(self, actors, two_hosts):
+    def test_acquire_fence_stays_free(self, two_hosts):
         machine = Machine(two_hosts, protocol="seq8")
         addr = machine.address_map.address_in_host(1, 0x1000)
         program = (ProgramBuilder("fencer")
@@ -114,7 +101,7 @@ class TestReleaseFenceDrains:
         result = machine.run({0: program})
         assert result.stall_ns("seq_drain") == 0
 
-    def test_drained_fence_sends_nothing(self, actors, two_hosts):
+    def test_drained_fence_sends_nothing(self, two_hosts):
         machine = Machine(two_hosts, protocol="seq8")
         program = ProgramBuilder("fencer").fence(Ordering.RELEASE).build()
         result = machine.run({0: program})

@@ -6,6 +6,8 @@ for an undeclared message, an emitted field the symmetry permutation
 would be blind to) fails CI before any equivalence suite runs.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.protocols.spec import (
@@ -18,7 +20,8 @@ from repro.protocols.spec import (
     spec_protocols,
 )
 
-ALL_TABLES = ("so", "cord", "mp", "seq2", "seq8", "seq40", "tardis")
+ALL_TABLES = ("so", "cord", "cord-nonotify", "mp", "seq2", "seq8", "seq40",
+              "tardis")
 
 
 class TestLinter:
@@ -27,7 +30,24 @@ class TestLinter:
         assert lint_spec(get_spec(name)) == []
 
     def test_rule_complete_set_matches_factory_default(self):
-        assert spec_protocols() == ("so", "cord", "mp", "seq<k>", "tardis")
+        assert spec_protocols() == ("so", "cord", "cord-nonotify", "mp",
+                                    "seq<k>", "tardis")
+
+    def test_source_drain_off_the_release_row_is_flagged(self):
+        # The timed interpreter reads source_drain from the CORD
+        # ordered-store row only; anywhere else it would be ignored.
+        spec = get_spec("cord")
+        issue = dict(spec.issue)
+        issue[("store", False)] = dataclasses.replace(
+            issue[("store", False)], source_drain=True)
+        problems = lint_spec(dataclasses.replace(spec, issue=issue))
+        assert any("source_drain" in p for p in problems), problems
+        so = get_spec("so")
+        issue = dict(so.issue)
+        issue[("store", True)] = dataclasses.replace(
+            issue[("store", True)], source_drain=True)
+        problems = lint_spec(dataclasses.replace(so, issue=issue))
+        assert any("source_drain" in p for p in problems), problems
 
     @pytest.mark.parametrize("name", ALL_TABLES)
     def test_every_message_names_a_fifo_class(self, name):

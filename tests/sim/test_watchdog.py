@@ -135,3 +135,32 @@ class TestMachineDiagnostics:
         core.port.outstanding_acks = 3   # as if wt_acks never arrived
         snapshot = machine._diagnostic_snapshot()
         assert snapshot["core0"]["outstanding_acks"] == 3
+
+    @pytest.mark.parametrize("protocol,kind", [
+        ("cord", "wt_rel"), ("seq8", "seq_store"), ("tardis", "tardis_store"),
+    ])
+    def test_snapshot_reports_buffered_directory_messages(self, protocol,
+                                                          kind):
+        # A Release whose predecessors never arrive waits in its home
+        # directory's retry queue; the snapshot names the queue by kind.
+        from repro import Machine, SystemConfig
+        from repro.consistency.ops import Ordering
+        from repro.core.processor import CordProcessorState
+        from repro.interconnect.message import Message
+
+        config = SystemConfig().scaled(hosts=2)
+        machine = Machine(config, protocol=protocol)
+        directory = machine.directories[0]
+        payload = {"addr": 0, "value": 1, "size": 8, "proc": 0,
+                   "program_index": 0, "ordering": Ordering.RELEASE,
+                   "seq": 3, "ordered": True}
+        if protocol == "cord":
+            cord = CordProcessorState(0, config.cord)
+            cord.on_relaxed_store(0)    # its wt_rlx never arrives
+            payload["meta"] = cord.on_release_store(0).release
+            payload["barrier"] = False
+        directory._process(Message(
+            src=machine.core_id(0), dst=directory.node_id, msg_type=kind,
+            size_bytes=72, control=False, payload=payload))
+        snapshot = machine._diagnostic_snapshot()
+        assert snapshot[str(directory.node_id)] == {kind: 1}

@@ -5,8 +5,10 @@ is performance-tuned under a strict no-behavior-change contract: every
 optimization must leave simulation results *byte-identical*.  This module
 enforces that contract by pinning the ``final_state_hash`` — a SHA-256
 over final register values, timings and the full stats dict — of a basket
-spanning every statically-registered protocol (plus table-native tardis)
-on the Fig. 2 CXL application point, with and without fault injection.
+spanning every named protocol on the Fig. 2 CXL application point, with
+and without fault injection, plus a small micro point for the protocols
+the application point cannot reach (``seq<k>``) or barely stresses
+(``cord-nonotify``'s cross-directory drain needs fan-out).
 
 If a hash changes, either the change was an intended semantic fix (then
 regenerate: ``REPRO_UPDATE_HASHES=1 pytest tests/test_state_hash.py`` and
@@ -25,13 +27,14 @@ from repro.faults import DropSpec, DuplicateSpec, FaultPlan, FlapSpec
 from repro.harness import RunSpec
 from repro.harness.executor import _execute_spec
 from repro.harness.experiments import default_config
+from repro.workloads.micro import MicroSpec
 from repro.workloads.table2 import APPLICATIONS
 
 EXPECTED_PATH = Path(__file__).parent / "data" / "state_hash_basket.json"
 
-#: The five statically-registered protocols plus table-native tardis
-#: (seq<k> is excluded: monolithic sequence numbers make the CR app
-#: exceed any reasonable event budget).
+#: Every named protocol (seq<k> runs on the micro point below instead:
+#: monolithic sequence numbers make the CR app exceed any reasonable
+#: event budget).
 PROTOCOLS = ("so", "cord", "cord-nonotify", "mp", "wb", "tardis")
 
 #: Deterministic adversity: drops, duplicates and a periodic link flap.
@@ -61,7 +64,21 @@ POD_BASKET = [
     for protocol in ("cord", "so")
     for faults in (None, FAULTS)
 ]
-BASKET = BASKET + POD_BASKET
+
+#: Small-but-busy micro point: fine stores, frequent releases and fan-out
+#: 2 exercise cross-slice traffic (SEQ commit-board gating, the
+#: ablation's source-side drain); the small total keeps the runs fast.
+MICRO = MicroSpec(store_granularity=64, sync_granularity=4096, fanout=2,
+                  total_bytes=32 * 1024)
+
+MICRO_BASKET = [
+    (f"{protocol}+micro",
+     RunSpec(kind="micro", protocol=protocol, workload=MICRO,
+             config=default_config(CXL), seed=0,
+             experiment="hash-basket"))
+    for protocol in ("seq8", "seq40", "cord-nonotify")
+]
+BASKET = BASKET + POD_BASKET + MICRO_BASKET
 
 
 def _expected() -> dict:
@@ -79,7 +96,7 @@ class TestStateHashBasket:
             pytest.skip("regenerating expected hashes")
         labels = [label for label, _spec in BASKET]
         assert (len(labels) == len(set(labels))
-                == 2 * len(PROTOCOLS) + len(POD_BASKET))
+                == 2 * len(PROTOCOLS) + len(POD_BASKET) + len(MICRO_BASKET))
         assert set(_expected()) == set(labels)
 
     @pytest.mark.parametrize(
