@@ -3,37 +3,30 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, NamedTuple, Optional
 
 __all__ = ["NodeId", "Message"]
 
 _message_counter = itertools.count()
 
 
-@dataclass(frozen=True, order=True)
-class NodeId:
+class NodeId(NamedTuple):
     """Address of a simulated endpoint.
 
     ``kind`` is one of ``"core"``, ``"dir"`` (an LLC slice + its co-located
     cache directory) or ``"mem"``.  ``index`` is the *global* index within the
     kind, and ``host`` the CPU host the endpoint lives on.
+
+    A named tuple: node ids are dict/set keys on every network hop, and
+    the tuple's C-level hash and equality keep those lookups out of
+    Python frames.  The hash is exactly ``hash((kind, index, host))`` —
+    set iteration order (and therefore the simulation determinism pins)
+    depends on it.
     """
 
     kind: str
     index: int
     host: int
-
-    def __post_init__(self) -> None:
-        # Node ids are dict/set keys on every network hop; caching the
-        # (identical) generated tuple hash removes ~150k hash computations
-        # per megabyte of simulated traffic.  The cached value must equal
-        # the dataclass-generated hash exactly — set iteration order (and
-        # therefore simulation determinism pins) depends on it.
-        object.__setattr__(self, "_hash", hash((self.kind, self.index, self.host)))
-
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
 
     @staticmethod
     def core(index: int, host: int) -> "NodeId":

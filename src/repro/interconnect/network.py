@@ -23,8 +23,12 @@ the state-hash basket).
 Delivery between a fixed (src-node, dst-node) pair is FIFO — messages
 between the same two endpoints arrive in send order — which matches real
 load/store interconnects and is the point-to-point ordering the MP
-(PCIe-like) protocol relies on.  Disjoint node pairs are independent even
-within one host: their mesh paths do not serialize against each other.
+(PCIe-like) protocol relies on.  A message that would overtake the pair's
+previous one is clamped to that message's arrival time and scheduled at
+exactly that time (``Simulator.schedule_at`` queues ``when`` itself), so
+the kernel's same-timestamp FIFO delivers the two in send order.
+Disjoint node pairs are independent even within one host: their mesh
+paths do not serialize against each other.
 Protocol *correctness* under adversarial reordering is checked separately
 by the untimed model checker (``repro.litmus``).
 
@@ -56,7 +60,11 @@ Handler = Callable[[Message], None]
 
 
 class Network:
-    """Connects endpoint handlers through the Table-1 fabric."""
+    """Connects endpoint handlers through the Table-1 fabric.
+
+    Every send looks up its memoized route and its FIFO clamp with one
+    ``(src, dst)`` key; node ids are tuples, so those lookups hash in C.
+    """
 
     def __init__(
         self,
@@ -71,6 +79,8 @@ class Network:
         self.sim = sim
         self.config = config
         self.topology = Topology(config)
+        # The topology's route memo, read directly on every send.
+        self._routes = self.topology.routes
         self.stats = stats if stats is not None else StatRegistry()
         #: Optional :class:`repro.trace.TraceCollector` (None = disabled).
         self.trace = trace
@@ -131,13 +141,18 @@ class Network:
     # ------------------------------------------------------------------
     def send(self, message: Message) -> float:
         """Inject ``message``; returns its arrival time."""
-        if message.dst not in self._handlers:
-            raise KeyError(f"no handler registered for {message.dst}")
+        src = message.src
+        dst = message.dst
+        if dst not in self._handlers:
+            raise KeyError(f"no handler registered for {dst}")
 
         faults = self.faults
-        latency, hops, cross, cross_pod = self.topology.route(
-            message.src, message.dst
-        )
+        # One (src, dst) key serves the route memo and the FIFO clamp.
+        pair = (src, dst)
+        route = self._routes.get(pair)
+        if route is None:
+            route = self.topology.route(src, dst)
+        latency, hops, cross, cross_pod = route
         if self.latency_jitter > 0:
             factor = 1.0 + self.latency_jitter * (2.0 * self._rng.random() - 1.0)
             latency *= factor
@@ -150,7 +165,7 @@ class Network:
             sim = self.sim
             now = sim.now
             if cross:
-                host = message.src.host
+                host = src.host
                 port_free = self._egress_free.get(host, 0.0)
                 depart = port_free if port_free > now else now
                 finish = depart + self._serialize(message.size_bytes)
@@ -160,7 +175,6 @@ class Network:
                 arrival = finish + latency
             else:
                 arrival = now + latency
-            pair = (message.src, message.dst)
             last = self._last_arrival.get(pair, 0.0)
             if last > arrival:
                 arrival = last
@@ -179,13 +193,13 @@ class Network:
             serialization = self.config.interconnect.serialization_ns(
                 message.size_bytes
             )
-            port_free = self._egress_free.get(message.src.host, 0.0)
+            port_free = self._egress_free.get(src.host, 0.0)
             queue_until = depart = max(self.sim.now, port_free)
             if faults is not None:
                 depart = faults.link_ready_ns(message, depart)
                 serialization *= faults.serialization_factor(message, depart)
             finish = depart + serialization
-            self._egress_free[message.src.host] = finish
+            self._egress_free[src.host] = finish
             if cross_pod:
                 finish = self._pod_transit(message, finish)
             arrival = finish + latency
@@ -200,7 +214,6 @@ class Network:
             faults.assign_seq(message)
 
         # Enforce per node-pair FIFO delivery.
-        pair = (message.src, message.dst)
         arrival = max(arrival, self._last_arrival.get(pair, 0.0))
         self._last_arrival[pair] = arrival
 
@@ -227,9 +240,9 @@ class Network:
                 # and arrives after it (FIFO-preserving); endpoints dedup
                 # it by seq.
                 if cross:
-                    dup_depart = self._egress_free.get(message.src.host, 0.0)
+                    dup_depart = self._egress_free.get(src.host, 0.0)
                     dup_finish = dup_depart + serialization
-                    self._egress_free[message.src.host] = dup_finish
+                    self._egress_free[src.host] = dup_finish
                     if cross_pod:
                         dup_finish = self._pod_transit(message, dup_finish)
                     dup_arrival = max(dup_finish + latency,

@@ -30,8 +30,10 @@ class Topology:
     def __init__(self, config: SystemConfig) -> None:
         self.config = config
         # (src, dst) -> (latency_ns, hop_count, crosses_hosts, crosses_pods);
-        # lazy.
-        self._routes: Dict[
+        # lazy.  ``Network.send`` reads it directly with the (src, dst)
+        # key it also uses for the FIFO clamp, and calls :meth:`route`
+        # only on a miss.
+        self.routes: Dict[
             Tuple[NodeId, NodeId], Tuple[float, int, bool, bool]
         ] = {}
 
@@ -42,7 +44,7 @@ class Topology:
               ) -> Tuple[float, int, bool, bool]:
         """``(latency_ns, hop_count, crosses_hosts, crosses_pods)``, cached."""
         key = (src, dst)
-        entry = self._routes.get(key)
+        entry = self.routes.get(key)
         if entry is None:
             entry = (
                 self._latency_ns(src, dst),
@@ -50,7 +52,7 @@ class Topology:
                 src.host != dst.host,
                 self.crosses_pods(src, dst),
             )
-            self._routes[key] = entry
+            self.routes[key] = entry
         return entry
 
     # ------------------------------------------------------------------

@@ -53,10 +53,12 @@ class SetAssocCache:
         self.line_bytes = config.line_bytes
         self.sets = config.sets
         self.ways = config.ways
-        # Each set is an OrderedDict: line_addr -> CacheLine, LRU-first.
-        self._sets: List["OrderedDict[int, CacheLine]"] = [
-            OrderedDict() for _ in range(self.sets)
-        ]
+        # Each set is an OrderedDict: line_addr -> CacheLine, LRU-first,
+        # built by the first insert into it.  ``None`` is an empty set: a
+        # 2 MiB LLC slice has 4,096 sets and most runs touch few of them,
+        # so building them all up front dominated machine construction.
+        self._sets: List[Optional["OrderedDict[int, CacheLine]"]] = (
+            [None] * self.sets)
         self.hits = 0
         self.misses = 0
 
@@ -76,7 +78,7 @@ class SetAssocCache:
         """Return the line holding ``addr`` (any non-invalid state), or None."""
         line_addr = self.line_address(addr)
         cache_set = self._sets[self.set_index(addr)]
-        line = cache_set.get(line_addr)
+        line = cache_set.get(line_addr) if cache_set is not None else None
         if line is None or line.state is MesiState.INVALID:
             self.misses += 1
             return None
@@ -86,14 +88,19 @@ class SetAssocCache:
         return line
 
     def contains(self, addr: int) -> bool:
-        line_addr = self.line_address(addr)
-        line = self._sets[self.set_index(addr)].get(line_addr)
+        cache_set = self._sets[self.set_index(addr)]
+        if cache_set is None:
+            return False
+        line = cache_set.get(self.line_address(addr))
         return line is not None and line.state is not MesiState.INVALID
 
     def insert(self, addr: int, state: MesiState) -> Optional[Eviction]:
         """Install (or upgrade) a line; returns the eviction it forced, if any."""
         line_addr = self.line_address(addr)
-        cache_set = self._sets[self.set_index(addr)]
+        index = self.set_index(addr)
+        cache_set = self._sets[index]
+        if cache_set is None:
+            cache_set = self._sets[index] = OrderedDict()
         existing = cache_set.get(line_addr)
         if existing is not None:
             existing.state = state
@@ -110,7 +117,7 @@ class SetAssocCache:
     def set_state(self, addr: int, state: MesiState) -> None:
         line_addr = self.line_address(addr)
         cache_set = self._sets[self.set_index(addr)]
-        line = cache_set.get(line_addr)
+        line = cache_set.get(line_addr) if cache_set is not None else None
         if line is None:
             raise KeyError(f"line {line_addr:#x} not present")
         line.state = state
@@ -119,25 +126,29 @@ class SetAssocCache:
 
     def invalidate(self, addr: int) -> bool:
         """Drop the line if present; returns whether it was dirty."""
-        line_addr = self.line_address(addr)
         cache_set = self._sets[self.set_index(addr)]
-        line = cache_set.pop(line_addr, None)
+        if cache_set is None:
+            return False
+        line = cache_set.pop(self.line_address(addr), None)
         return line is not None and line.dirty
+
+    def _built_sets(self) -> List["OrderedDict[int, CacheLine]"]:
+        return [cache_set for cache_set in self._sets if cache_set is not None]
 
     def dirty_lines(self) -> List[int]:
         return [
             line.addr
-            for cache_set in self._sets
+            for cache_set in self._built_sets()
             for line in cache_set.values()
             if line.dirty
         ]
 
     def occupancy(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self._built_sets())
 
     def state_counts(self) -> Dict[MesiState, int]:
         counts: Dict[MesiState, int] = {s: 0 for s in MesiState}
-        for cache_set in self._sets:
+        for cache_set in self._built_sets():
             for line in cache_set.values():
                 counts[line.state] += 1
         return counts

@@ -46,6 +46,7 @@ class CorePort(abc.ABC):
         self.node: NodeId = core.node_id
         self._load_waiters: Dict[int, Any] = {}
         self._next_req = 0
+        self._load_req_bytes = self.sizes.control_bytes()
         # Source-side write-combining buffer (§2.1); inert when the config
         # leaves write_combining_lines at 0 or under TSO (coalescing would
         # blur the total store order).
@@ -158,13 +159,15 @@ class CorePort(abc.ABC):
             yield from self.wc_flush_line(op.addr)
         req_id = self._next_req
         self._next_req += 1
-        signal = self.sim.signal(f"load{req_id}@core{self.core.core_id}")
+        # Load signals share one name: a per-request name would be
+        # formatted on every load for diagnostics that never print it.
+        signal = self.sim.signal("load")
         self._load_waiters[req_id] = signal
         self.network.send(Message(
             src=self.node,
             dst=self.home(op.addr),
             msg_type="load_req",
-            size_bytes=self.sizes.control_bytes(),
+            size_bytes=self._load_req_bytes,
             control=True,
             payload={"addr": op.addr, "size": op.size, "req_id": req_id},
         ))
@@ -242,6 +245,9 @@ class DirectoryNode:
         machine.network.register(node_id, self.handle)
         # msg_type -> bound on_<msg_type> handler (memoized getattr).
         self._handler_cache: Dict[str, Any] = {}
+        # Load size -> ``load_resp`` wire bytes (sizes repeat heavily;
+        # ``on_load_req`` overrides fill it with their own response size).
+        self._load_resp_bytes: Dict[int, int] = {}
         # Peak count of buffered (stalled/recycled) protocol messages — the
         # "network buffer" component of Fig. 12.
         self.peak_buffered = 0
@@ -348,16 +354,21 @@ class DirectoryNode:
     # Shared load handler
     # ------------------------------------------------------------------
     def on_load_req(self, message: Message) -> None:
-        addr = message.payload["addr"]
+        payload = message.payload
+        addr = payload["addr"]
         self.llc.read_line(addr)
+        size = payload.get("size", 8)
+        nbytes = self._load_resp_bytes.get(size)
+        if nbytes is None:
+            nbytes = self._load_resp_bytes[size] = self.sizes.data_bytes(size)
         self.network.send(Message(
             src=self.node_id,
             dst=message.src,
             msg_type="load_resp",
-            size_bytes=self.sizes.data_bytes(message.payload.get("size", 8)),
+            size_bytes=nbytes,
             control=False,
             payload={
-                "req_id": message.payload["req_id"],
+                "req_id": payload["req_id"],
                 "value": self.read_value(addr),
                 "addr": addr,
             },

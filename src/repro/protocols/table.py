@@ -11,7 +11,10 @@ plumbing (signals, generators, stall accounting), the wire transport
 (payload assembly, message sizes) and the retry queues.  Every protocol
 *decision* — when an op may issue, what it emits, when a message may
 commit, what a commit does — is executed straight from the table, so the
-timed simulator and the checker cannot diverge on them.
+timed simulator and the checker cannot diverge on them.  The one
+exception is Tardis's timed-only lease and timestamp machinery, which
+:class:`TardisCorePort` and :class:`TardisDirectory` add on top of the
+generic classes.
 
 Timed behaviour is pinned byte-for-byte by the final-state-hash basket
 (``tests/test_state_hash.py``); the ``seq<k>`` commit gating and
@@ -61,7 +64,8 @@ from repro.protocols.spec import (
     get_spec,
 )
 
-__all__ = ["TableCorePort", "TableDirectory", "make_table_protocol",
+__all__ = ["TableCorePort", "TableDirectory", "TardisCorePort",
+           "TardisDirectory", "make_table_protocol",
            "table_protocol_classes", "interpreted_tables_enabled",
            "INTERPRETED_ENV"]
 
@@ -194,8 +198,6 @@ class TableCorePort(CorePort):
         self.seq_next = 0
         self.seq_watermark = 0
         self.seq_outstanding = 0
-        #: Tardis-only state; ``None`` doubles as the is-tardis flag.
-        self._tardis_lease: Optional[Dict[int, Tuple[Any, int]]] = None
         if spec.core_state == "cord":
             self.cord = CordProcessorState(core.core_id, self.config.cord)
             self.state = self.cord      # storage/diagnostics surface
@@ -209,25 +211,7 @@ class TableCorePort(CorePort):
                 )
         elif spec.core_state == "so":
             self.ack_signal = self.sim.signal(f"so_ack@core{core.core_id}")
-        elif spec.core_state == "tardis":
-            self.ack_signal = self.sim.signal(
-                f"tardis_ack@core{core.core_id}")
-            # Per-proc logical clocks (pts) live on the machine-global
-            # commit board: directory-side commits raise the issuing
-            # core's clock without an extra ack message.
-            self.board = self.machine.seq_board()
-            # addr -> (value, rts): leased read-only copies, readable
-            # while rts >= this core's pts.
-            self._tardis_lease = {}
-            # addr -> (value, seq): own stores still in flight, for
-            # read-own-write forwarding (dropped once committed).
-            self._tardis_fwd: Dict[int, Tuple[Any, int]] = {}
-            self._tardis_resp_ts: Optional[Tuple[int, int]] = None
-            self._lease_hits = self.machine.stats.counter(
-                "tardis.lease_hits")
-            self._lease_misses = self.machine.stats.counter(
-                "tardis.lease_misses")
-        else:                           # seq
+        elif spec.core_state == "seq":
             self.flush_signal = self.sim.signal(
                 f"seq_flush@core{core.core_id}")
             self._flush_pending = False
@@ -267,8 +251,8 @@ class TableCorePort(CorePort):
         self._wc_enabled = self.wc.enabled
         self._core_ctx = _TimedCoreCtx(self)
         # wire msg_type -> (canonical name, core-side rule, delivery
-        # opcode); the shared load/atomic response path stays with the
-        # base class.
+        # opcode); the shared ``load_resp`` (load and atomic responses) is
+        # completed by :meth:`on_message` before this lookup.
         self._core_rules: Dict[str, Tuple[str, Any, int]] = {}
         for row in compiled.core_wire.values():
             wire = self._wire_names[row.mid]
@@ -479,25 +463,6 @@ class TableCorePort(CorePort):
                             program_index=program_index,
                             home_index=dir_index, ordering=ordering,
                             values=values, barrier=barrier)
-        if self._tardis_lease is not None and rule.op_class == "store":
-            # Interpreted mode: same lease/forward bookkeeping as the
-            # A_TARDIS_STORE fast path, keyed by the emitted seq.
-            self._tardis_note_store(addr, value, values,
-                                    emits[0].fields["seq"])
-
-    def _tardis_note_store(self, addr: int, value, values,
-                           seq: int) -> None:
-        """Issue-side Tardis bookkeeping: an own store supersedes any
-        lease on its line(s) and enters the read-own-write forward map
-        until the directory commits it (the board count passes ``seq``)."""
-        lease, fwd = self._tardis_lease, self._tardis_fwd
-        if values:
-            for a, v in values.items():
-                lease.pop(a, None)
-                fwd[a] = (v, seq)
-        else:
-            lease.pop(addr, None)
-            fwd[addr] = (value, seq)
 
     # ------------------------------------------------------------------
     # Stores
@@ -640,65 +605,6 @@ class TableCorePort(CorePort):
         self.stall(cause, self.sim.now - started)
 
     # ------------------------------------------------------------------
-    # Loads (Tardis leases; every other protocol uses the base path)
-    # ------------------------------------------------------------------
-    def load(self, op: MemOp, program_index: int) -> Generator:
-        lease = self._tardis_lease
-        if lease is None:
-            value = yield from super().load(op, program_index)
-            return value
-        if self.machine.consistency == "sc":
-            yield from self.sc_load_barrier()
-        if self._wc_enabled:
-            # Surface buffered own stores into the forward map first.
-            yield from self.wc_flush_line(op.addr)
-        acquire = op.ordering.is_acquire or self._always_ordered
-        if acquire:
-            # An acquire read observes current logical time: drop every
-            # lease so this read (and subsequent reads) go remote.
-            lease.clear()
-        board, cid = self.board, self._cid
-        fwd = self._tardis_fwd.get(op.addr)
-        if fwd is not None:
-            value, seq = fwd
-            if board.count(cid) <= seq:
-                return value        # read-own-write: store still in flight
-            del self._tardis_fwd[op.addr]
-        if not acquire:
-            entry = lease.get(op.addr)
-            if entry is not None:
-                value, rts = entry
-                pts = board.pts(cid)
-                if rts >= pts:
-                    # Tardis 2.0 self-increment: each hit advances pts,
-                    # so a grant serves at most TARDIS_LEASE hits before
-                    # the copy expires against the core's own clock.
-                    board.bump_pts(cid, pts + 1)
-                    self._lease_hits.add(1)
-                    return value
-                del lease[op.addr]
-        self._lease_misses.add(1)
-        value = yield from super().load(op, program_index)
-        ts = self._tardis_resp_ts
-        if ts is not None:
-            self._tardis_resp_ts = None
-            wts, rts = ts
-            # Observing the line pulls this core's clock up to the write
-            # timestamp — the transitive-causality edge that makes stale
-            # lease hits provably checker-reachable (DESIGN.md).
-            board.bump_pts(cid, wts)
-            lease[op.addr] = (value, rts)
-        return value
-
-    def _complete_load(self, message: Message) -> None:
-        if self._tardis_lease is not None and "wts" in message.payload:
-            # Lease grant riding the load response (atomic responses
-            # share the wire type but carry no timestamps).
-            payload = message.payload
-            self._tardis_resp_ts = (payload["wts"], payload["rts"])
-        super()._complete_load(message)
-
-    # ------------------------------------------------------------------
     # Atomics
     # ------------------------------------------------------------------
     def atomic(self, op: MemOp, program_index: int) -> Generator:
@@ -706,13 +612,6 @@ class TableCorePort(CorePort):
         ordered = self._ordered(op)
         rule = self._rule_atomic_t if ordered else self._rule_atomic_f
         home_index = self.home(op.addr).index
-        if self._tardis_lease is not None:
-            # An RMW synchronizes at the directory: drop the leases (the
-            # RMW observes and advances logical time — the directory
-            # bumps this core's pts at the commit) and the own-store
-            # forward for the line (the RMW result supersedes it).
-            self._tardis_lease.clear()
-            self._tardis_fwd.pop(op.addr, None)
         if rule.escape == "wait" and ordered:
             yield from self._wait_guard(rule, home_index)
         elif rule.escape == "barrier":
@@ -776,10 +675,6 @@ class TableCorePort(CorePort):
     # Fences / drains
     # ------------------------------------------------------------------
     def fence(self, op: MemOp, program_index: int) -> Generator:
-        if self._tardis_lease is not None and op.ordering.is_acquire:
-            # Tardis acquire side: jump to current logical time by
-            # dropping the leases; the next read of each line goes remote.
-            self._tardis_lease.clear()
         fr = self.SPEC.fence
         if not op.ordering.is_release and not fr.timed_drain_on_acquire:
             return                          # acquire barriers are free (§4.4)
@@ -833,9 +728,12 @@ class TableCorePort(CorePort):
     # Responses (flat table dispatch)
     # ------------------------------------------------------------------
     def on_message(self, message: Message) -> None:
-        entry = self._core_rules.get(message.msg_type)
+        msg_type = message.msg_type
+        if msg_type == "load_resp":
+            self._complete_load(message)
+            return
+        entry = self._core_rules.get(msg_type)
         if entry is None:
-            super().on_message(message)
             return
         name, rule, dop = entry
         if dop == D_REL_ACK:
@@ -867,6 +765,139 @@ class TableCorePort(CorePort):
         rule.effects(self._core_ctx, fields)
 
 
+class TardisCorePort(TableCorePort):
+    """Tardis processor side: the table's rows plus the timed-only lease
+    cache, read-own-write forwarding and logical clock (Tardis 2.0,
+    PAPERS.md).
+
+    :func:`make_table_protocol` binds this subclass for
+    ``core_state == "tardis"``, so no shared method tests for Tardis.
+    Overrides reach the base methods through ``super()``."""
+
+    def __init__(self, core) -> None:
+        super().__init__(core)
+        self.ack_signal = self.sim.signal(f"tardis_ack@core{core.core_id}")
+        # Per-proc logical clocks (pts) live on the machine-global commit
+        # board: directory-side commits raise the issuing core's clock
+        # without an extra ack message.
+        self.board = self.machine.seq_board()
+        # addr -> (value, rts): leased read-only copies, readable while
+        # rts >= this core's pts.
+        self._tardis_lease: Dict[int, Tuple[Any, int]] = {}
+        # addr -> (value, seq): own stores still in flight, for
+        # read-own-write forwarding (dropped once committed).
+        self._tardis_fwd: Dict[int, Tuple[Any, int]] = {}
+        self._tardis_resp_ts: Optional[Tuple[int, int]] = None
+        self._lease_hits = self.machine.stats.counter("tardis.lease_hits")
+        self._lease_misses = self.machine.stats.counter(
+            "tardis.lease_misses")
+
+    def _tardis_note_store(self, addr: int, value, values,
+                           seq: int) -> None:
+        """Issue-side Tardis bookkeeping: an own store supersedes any
+        lease on its line(s) and enters the read-own-write forward map
+        until the directory commits it (the board count passes ``seq``)."""
+        lease, fwd = self._tardis_lease, self._tardis_fwd
+        if values:
+            for a, v in values.items():
+                lease.pop(a, None)
+                fwd[a] = (v, seq)
+        else:
+            lease.pop(addr, None)
+            fwd[addr] = (value, seq)
+
+    def _send_emit(self, emit: Emit, *, addr: int, size: int, value,
+                   program_index: int, home_index: int, ordering,
+                   values=None, barrier: bool = False) -> None:
+        super()._send_emit(emit, addr=addr, size=size, value=value,
+                           program_index=program_index,
+                           home_index=home_index, ordering=ordering,
+                           values=values, barrier=barrier)
+        if emit.message == "tardis_store":
+            # Interpreted mode: same lease/forward bookkeeping as the
+            # A_TARDIS_STORE fast path, keyed by the emitted seq.
+            self._tardis_note_store(addr, value, values, emit.fields["seq"])
+
+    # ------------------------------------------------------------------
+    # Loads (leases)
+    # ------------------------------------------------------------------
+    def load(self, op: MemOp, program_index: int) -> Generator:
+        lease = self._tardis_lease
+        if self.machine.consistency == "sc":
+            yield from self.sc_load_barrier()
+        if self._wc_enabled:
+            # Surface buffered own stores into the forward map first.
+            yield from self.wc_flush_line(op.addr)
+        acquire = op.ordering.is_acquire or self._always_ordered
+        if acquire:
+            # An acquire read observes current logical time: drop every
+            # lease so this read (and subsequent reads) go remote.
+            lease.clear()
+        board, cid = self.board, self._cid
+        fwd = self._tardis_fwd.get(op.addr)
+        if fwd is not None:
+            value, seq = fwd
+            if board.count(cid) <= seq:
+                return value        # read-own-write: store still in flight
+            del self._tardis_fwd[op.addr]
+        if not acquire:
+            entry = lease.get(op.addr)
+            if entry is not None:
+                value, rts = entry
+                pts = board.pts(cid)
+                if rts >= pts:
+                    # Tardis 2.0 self-increment: each hit advances pts,
+                    # so a grant serves at most TARDIS_LEASE hits before
+                    # the copy expires against the core's own clock.
+                    board.bump_pts(cid, pts + 1)
+                    self._lease_hits.add(1)
+                    return value
+                del lease[op.addr]
+        self._lease_misses.add(1)
+        value = yield from super().load(op, program_index)
+        ts = self._tardis_resp_ts
+        if ts is not None:
+            self._tardis_resp_ts = None
+            wts, rts = ts
+            # Observing the line pulls this core's clock up to the write
+            # timestamp — the transitive-causality edge that makes stale
+            # lease hits provably checker-reachable (DESIGN.md).
+            board.bump_pts(cid, wts)
+            lease[op.addr] = (value, rts)
+        return value
+
+    def _complete_load(self, message: Message) -> None:
+        payload = message.payload
+        if "wts" in payload:
+            # Lease grant riding the load response (atomic responses
+            # share the wire type but carry no timestamps).
+            self._tardis_resp_ts = (payload["wts"], payload["rts"])
+        super()._complete_load(message)
+
+    # ------------------------------------------------------------------
+    # Synchronization: RMWs and acquire fences drop the leases
+    # ------------------------------------------------------------------
+    def atomic(self, op: MemOp, program_index: int) -> Generator:
+        # Buffered stores enter the forward map first, so the RMW result
+        # supersedes a buffered store to its own line too.
+        yield from self.wc_flush()
+        # An RMW synchronizes at the directory: drop the leases (the RMW
+        # observes and advances logical time — the directory bumps this
+        # core's pts at the commit) and the own-store forward for the
+        # line (the RMW result supersedes it).
+        self._tardis_lease.clear()
+        self._tardis_fwd.pop(op.addr, None)
+        old = yield from super().atomic(op, program_index)
+        return old
+
+    def fence(self, op: MemOp, program_index: int) -> Generator:
+        if op.ordering.is_acquire:
+            # Acquire side: jump to current logical time by dropping the
+            # leases; the next read of each line goes remote.
+            self._tardis_lease.clear()
+        yield from super().fence(op, program_index)
+
+
 # ---------------------------------------------------------------------------
 # The directory
 # ---------------------------------------------------------------------------
@@ -893,14 +924,6 @@ class TableDirectory(DirectoryNode):
             # deadlock cross-directory releases).
             self.board = machine.seq_board()
             self.board.subscribe(self, self._progress)
-        # Tardis per-line timestamps: write-ts and read-lease end, both
-        # directory-resident (no sharer lists, no invalidations).
-        self._tardis_wts: Optional[Dict[int, int]] = None
-        if spec.core_state == "tardis":
-            self._tardis_wts = {}
-            self._tardis_rts: Dict[int, int] = {}
-            self._lease_resp_bits = spec.messages["load_resp"].bit_width(
-                machine.config.cord)
         self._retry: Dict[str, List[Message]] = {
             name: [] for name in spec.retry_order
         }
@@ -939,6 +962,13 @@ class TableDirectory(DirectoryNode):
         self._notify_wire = _reply_wire("notify")
         self._flush_ack_wire = _reply_wire("seq_flush_ack")
         self._progress_kinds = frozenset(spec.progress_on)
+        # Handlers for messages outside the table (the shared load round
+        # trip, and atomics for specs without an ``atomic`` delivery row),
+        # bound once here rather than resolved per delivery.
+        self._requests: Dict[str, Any] = {
+            "load_req": self.on_load_req,
+            "atomic_req": self.on_atomic_req,
+        }
 
     def _fields(self, name: str, message: Message) -> Mapping[str, Any]:
         payload = message.payload
@@ -953,7 +983,11 @@ class TableDirectory(DirectoryNode):
     def _process(self, message: Message) -> None:
         entry = self._wire_rules.get(message.msg_type)
         if entry is None:
-            super()._process(message)   # shared load path
+            handler = self._requests.get(message.msg_type)
+            if handler is None:
+                super()._process(message)   # names the missing handler
+                return
+            handler(message)
             return
         name, rule, dop = entry
         if name in self._retry:
@@ -1108,20 +1142,31 @@ class TableDirectory(DirectoryNode):
         self._buffered_total = total
         self.track_buffered(total)
 
-    # ------------------------------------------------------------------
-    # Tardis timestamp machinery (timed-model only; no-ops elsewhere)
-    # ------------------------------------------------------------------
+
+class TardisDirectory(TableDirectory):
+    """Tardis directory side: the table's rows plus per-line timestamps —
+    write-ts and read-lease end, both directory-resident (no sharer
+    lists, no invalidations).
+
+    :func:`make_table_protocol` binds this subclass for
+    ``core_state == "tardis"``; the commit, RMW and load hooks below
+    extend the base ones through ``super()``."""
+
+    def __init__(self, machine, node_id) -> None:
+        super().__init__(machine, node_id)
+        self._tardis_wts: Dict[int, int] = {}
+        self._tardis_rts: Dict[int, int] = {}
+        self._lease_resp_bits = self.SPEC.messages["load_resp"].bit_width(
+            machine.config.cord)
+
     def commit_store(self, message: Message) -> None:
         super().commit_store(message)
-        wts_map = self._tardis_wts
-        if wts_map is None:
-            return
         # Commit point: the write lands strictly after every granted
         # lease (max over rts) and after everything the writer has
         # observed (max over its pts) — §Tardis write rule.
         payload = message.payload
         proc = payload["proc"]
-        rts_map = self._tardis_rts
+        wts_map, rts_map = self._tardis_wts, self._tardis_rts
         board = self.board
         ts = board.pts(proc)
         values = payload.get("values")
@@ -1133,42 +1178,41 @@ class TableDirectory(DirectoryNode):
 
     def perform_atomic(self, message: Message) -> int:
         old = super().perform_atomic(message)
-        wts_map = self._tardis_wts
-        if wts_map is not None:
-            payload = message.payload
-            addr = payload["addr"]
-            proc = payload["proc"]
-            ts = max(wts_map.get(addr, 0), self._tardis_rts.get(addr, 0),
-                     self.board.pts(proc)) + 1
-            wts_map[addr] = ts
-            self._tardis_rts[addr] = ts
-            # Bumping the issuer's pts here (before the response leaves)
-            # threads causality through RMW chains without carrying any
-            # timestamp in the atomic response.
-            self.board.bump_pts(proc, ts)
+        payload = message.payload
+        addr = payload["addr"]
+        proc = payload["proc"]
+        ts = max(self._tardis_wts.get(addr, 0), self._tardis_rts.get(addr, 0),
+                 self.board.pts(proc)) + 1
+        self._tardis_wts[addr] = ts
+        self._tardis_rts[addr] = ts
+        # Bumping the issuer's pts here (before the response leaves)
+        # threads causality through RMW chains without carrying any
+        # timestamp in the atomic response.
+        self.board.bump_pts(proc, ts)
         return old
 
     def on_load_req(self, message: Message) -> None:
-        wts_map = self._tardis_wts
-        if wts_map is None:
-            super().on_load_req(message)
-            return
         # Lease grant: extend the line's read end-time and ship
         # (value, wts, rts) back — two extra timestamps on the wire.
-        addr = message.payload["addr"]
+        payload = message.payload
+        addr = payload["addr"]
         self.llc.read_line(addr)
-        wts = wts_map.get(addr, 0)
+        wts = self._tardis_wts.get(addr, 0)
         rts = max(self._tardis_rts.get(addr, 0), wts + TARDIS_LEASE)
         self._tardis_rts[addr] = rts
+        size = payload.get("size", 8)
+        nbytes = self._load_resp_bytes.get(size)
+        if nbytes is None:
+            nbytes = self._load_resp_bytes[size] = self.sizes.data_bytes(
+                size, self._lease_resp_bits)
         self.network.send(Message(
             src=self.node_id,
             dst=message.src,
             msg_type="load_resp",
-            size_bytes=self.sizes.data_bytes(
-                message.payload.get("size", 8), self._lease_resp_bits),
+            size_bytes=nbytes,
             control=False,
             payload={
-                "req_id": message.payload["req_id"],
+                "req_id": payload["req_id"],
                 "value": self.read_value(addr),
                 "addr": addr,
                 "wts": wts,
@@ -1200,10 +1244,14 @@ def make_table_protocol(
             f"protocol {spec.name!r} has a messages-only table and "
             f"declares no actor pair"
         )
+    if spec.core_state == "tardis":
+        port_base, dir_base = TardisCorePort, TardisDirectory
+    else:
+        port_base, dir_base = TableCorePort, TableDirectory
     title = spec.name.replace("-", " ").title().replace(" ", "")
-    port_cls = type(f"Table{title}CorePort", (TableCorePort,),
+    port_cls = type(f"Table{title}CorePort", (port_base,),
                     {"SPEC": spec, "SEQ_BITS": spec.seq_bits})
-    dir_cls = type(f"Table{title}Directory", (TableDirectory,),
+    dir_cls = type(f"Table{title}Directory", (dir_base,),
                    {"SPEC": spec})
     _CLASS_CACHE[spec.name] = (port_cls, dir_cls)
     return port_cls, dir_cls

@@ -309,18 +309,20 @@ class Simulator:
         heapq.heappush(self._queue, (self.now + delay, self._sequence, callback, args))
 
     def schedule_at(self, when: float, callback: Callable[..., None], *args: Any) -> None:
-        """Run ``callback(*args)`` at absolute time ``when``."""
-        # Inlined :meth:`schedule` (hot path: every network delivery).
-        # ``now + (when - now)`` is kept rather than pushing ``when``
-        # directly — the round trip is how schedule() has always computed
-        # the timestamp, and changing it would perturb results by an ulp.
-        delay = when - self.now
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        """Run ``callback(*args)`` at absolute time ``when``.
+
+        The event is queued at ``when`` exactly.  Callers that clamp
+        several events to one arrival time (the network's per-pair FIFO
+        clamp) rely on this: they then fire in scheduling order.  The
+        round trip ``now + (when - now)`` can land one ulp below ``when``
+        for a later call and one ulp above it for an earlier one, which
+        reorders them.
+        """
+        if when < self.now:
+            raise SimulationError(
+                f"cannot schedule in the past (delay={when - self.now})")
         self._sequence += 1
-        heapq.heappush(
-            self._queue, (self.now + delay, self._sequence, callback, args)
-        )
+        heapq.heappush(self._queue, (when, self._sequence, callback, args))
 
     def process(
         self, generator: Generator[Any, Any, Any], name: str = ""

@@ -1,5 +1,9 @@
 """Tests for message and node-id primitives."""
 
+import pickle
+
+import pytest
+
 from repro.interconnect import Message, NodeId
 
 
@@ -16,12 +20,36 @@ class TestNodeId:
         assert len({NodeId.core(1, 0), NodeId.core(1, 0)}) == 1
 
     def test_ordering_is_total(self):
-        nodes = [NodeId.directory(2, 1), NodeId.core(0, 0), NodeId.core(3, 1)]
+        nodes = [NodeId.directory(2, 1), NodeId.core(0, 0), NodeId.core(3, 1),
+                 NodeId.core(0, 2), NodeId("mem", 1, 0)]
         assert sorted(nodes) == sorted(nodes, key=lambda n: (n.kind, n.index,
                                                              n.host))
 
     def test_str(self):
         assert str(NodeId.core(7, 2)) == "core7@h2"
+
+    @pytest.mark.parametrize("kind,index,host",
+                             [("core", 1, 0), ("dir", 9, 3), ("mem", 0, 7)])
+    def test_hash_is_the_field_tuple_hash(self, kind, index, host):
+        # Set and dict iteration order, and so every pinned hash, depend
+        # on this exact value.
+        assert hash(NodeId(kind, index, host)) == hash((kind, index, host))
+
+    def test_repr_names_the_fields(self):
+        # Deadlock diagnostics print node ids through repr.
+        assert (repr(NodeId.core(1, 0))
+                == "NodeId(kind='core', index=1, host=0)")
+
+    def test_immutable(self):
+        node = NodeId.core(1, 0)
+        with pytest.raises(AttributeError):
+            node.index = 2
+
+    def test_pickle_round_trip(self):
+        node = NodeId.directory(5, 2)
+        restored = pickle.loads(pickle.dumps(node))
+        assert restored == node and type(restored) is NodeId
+        assert hash(restored) == hash(node)
 
 
 class TestMessage:

@@ -26,6 +26,16 @@ def _msg(src, dst, size=64, control=False, msg_type="wt_store"):
                    control=control)
 
 
+class _Draws:
+    """Jitter source returning fixed draws in order."""
+
+    def __init__(self, *draws):
+        self._draws = list(draws)
+
+    def random(self):
+        return self._draws.pop(0)
+
+
 class TestDelivery:
     def test_message_delivered_to_handler(self, setup):
         sim, network, inbox, core, local_dir, _ = setup
@@ -150,6 +160,28 @@ class TestFifoScope:
         first = network.send(_msg(src, dst))
         second = network.send(_msg(src, dst))
         assert second >= first
+
+    def test_clamped_later_send_delivered_after_the_earlier_one(self):
+        # Regression: a send clamped to the pair's last arrival was queued
+        # at now + (arrival - now), one ulp below the arrival for the send
+        # time below, so it was delivered before the earlier message.
+        sim = Simulator()
+        config = SystemConfig().scaled(hosts=2, cores_per_host=2)
+        # Jitter draws: a long latency for the first message and the
+        # shortest for the second, which is then clamped to the first's
+        # arrival.
+        network = Network(sim, config, latency_jitter=0.5,
+                          rng=_Draws(0.8674198235869027, 0.0))
+        src, dst = NodeId.core(0, 0), NodeId.directory(1, 0)
+        inbox = []
+        network.register(dst, inbox.append)
+        arrival = network.send(_msg(src, dst, msg_type="first"))
+        later = 2.065
+        assert later + (arrival - later) < arrival
+        sim.schedule_at(later, network.send, _msg(src, dst, msg_type="second"))
+        sim.run()
+        assert [m.msg_type for m in inbox] == ["first", "second"]
+        assert sim.now == arrival
 
     def test_disjoint_cross_host_pairs_not_clamped_to_each_other(self):
         sim, network = self._network()

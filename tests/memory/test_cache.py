@@ -32,6 +32,20 @@ class TestBasics:
         assert cache.lookup(0x100 + 63) is not None
         assert cache.lookup(0x100 + 64) is None
 
+    def test_sets_are_built_on_first_insert(self):
+        cache = make_cache()
+        assert all(cache_set is None for cache_set in cache._sets)
+        # An untouched set reads as empty.
+        assert cache.lookup(0x100) is None
+        with pytest.raises(KeyError):
+            cache.set_state(0x100, MesiState.MODIFIED)
+        assert cache.invalidate(0x100) is False
+        assert not cache.contains(0x100)
+        assert cache.occupancy() == 0 and cache.dirty_lines() == []
+        assert all(cache_set is None for cache_set in cache._sets)
+        cache.insert(0x100, MesiState.MODIFIED)
+        assert sum(s is not None for s in cache._sets) == 1
+
     def test_insert_upgrades_existing_state(self):
         cache = make_cache()
         cache.insert(0x100, MesiState.SHARED)
@@ -114,9 +128,11 @@ class TestProperties:
         for addr in addrs:
             cache.insert(addr, MesiState.SHARED)
         assert cache.occupancy() <= 8
-        # Per-set occupancy never exceeds associativity.
+        # Per-set occupancy never exceeds associativity (sets no insert
+        # reached are never built).
         for cache_set in cache._sets:
-            assert len(cache_set) <= 2
+            if cache_set is not None:
+                assert len(cache_set) <= 2
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=4095), min_size=1,

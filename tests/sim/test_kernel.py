@@ -41,6 +41,24 @@ class TestScheduling:
         sim.run()
         assert seen == [7.0]
 
+    def test_schedule_at_queues_the_exact_time(self):
+        # Regression: the event used to be queued at now + (when - now),
+        # which for these values is one ulp below ``when``.  A later send
+        # clamped to an earlier send's arrival then fired first.
+        sim = Simulator()
+        sim.now = 425.1365611509048
+        when = 972.7989602412209
+        seen = []
+        sim.schedule_at(when, lambda: seen.append(sim.now))
+        sim.run()
+        assert seen == [when]
+
+    def test_schedule_at_in_the_past_rejected(self):
+        sim = Simulator()
+        sim.now = 5.0
+        with pytest.raises(SimulationError):
+            sim.schedule_at(4.0, lambda: None)
+
     def test_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
             Simulator().schedule(-1.0, lambda: None)

@@ -15,7 +15,7 @@ import dataclasses
 
 import pytest
 
-from repro.config import CXL
+from repro.config import CXL, SystemConfig
 from repro.faults import (
     DedupFilter,
     DropSpec,
@@ -35,7 +35,13 @@ from repro.harness.executor import _execute_spec
 from repro.harness.experiments import default_config
 from repro.litmus import fault_suite, fault_sweep, run_timed
 from repro.litmus.suite import classic_tests
+from repro.protocols.machine import Machine
 from repro.workloads.micro import MicroSpec
+from repro.workloads.openloop import (
+    DELIVERY_LATENCY_STAT,
+    OpenLoopSpec,
+    build_openloop_programs,
+)
 
 MICRO = MicroSpec(store_granularity=64, sync_granularity=1024,
                   fanout=1, total_bytes=8 * 1024)
@@ -354,6 +360,28 @@ class TestFaultSweep:
 # ---------------------------------------------------------------------------
 # Observability: counters and trace instants
 # ---------------------------------------------------------------------------
+class TestSamePairFifoUnderFaults:
+    def test_cord_openloop_drop_dup_completes(self):
+        # Regression: with drop+dup retry holds, a clamped later send on
+        # core30 -> dir1 was queued one ulp before the earlier sends it
+        # was clamped to.  The directory received seqs 4-6 before 1-3 and
+        # its dedup filter dropped 1-3 as duplicates, so core30's Release
+        # never committed and the run livelocked.
+        config = (SystemConfig().scaled(16, 2).with_interconnect(CXL)
+                  .with_pods(4))
+        workload = OpenLoopSpec(arrival="poisson", interarrival_ns=1000.0,
+                                requests=64, warmup=2, seed=2021181417)
+        plan = dataclasses.replace(parse_faults("drop+dup"), seed=889213416)
+        machine = Machine(config, protocol="cord", seed=1045020520,
+                          faults=plan)
+        result = machine.run(build_openloop_programs(workload, config),
+                             max_events=1_000_000)
+        stats = result.stats.as_dict()
+        assert (stats[f"{DELIVERY_LATENCY_STAT}.count"]
+                == config.hosts * workload.sampled_requests)
+        assert stats["faults.dup_suppressed"] <= stats["faults.duplicate"]
+
+
 class TestObservability:
     def test_injections_are_counted_and_traced(self):
         record = _execute_spec(_spec(faults=DROP_DUP, trace=True))

@@ -6,9 +6,13 @@ optimization must leave simulation results *byte-identical*.  This module
 enforces that contract by pinning the ``final_state_hash`` — a SHA-256
 over final register values, timings and the full stats dict — of a basket
 spanning every named protocol on the Fig. 2 CXL application point, with
-and without fault injection, plus a small micro point for the protocols
-the application point cannot reach (``seq<k>``) or barely stresses
-(``cord-nonotify``'s cross-directory drain needs fan-out).
+and without fault injection, plus the same point on a two-pod fabric
+(cord, so and tardis), a small micro point for the protocols the
+application point cannot reach (``seq<k>``) or barely stresses
+(``cord-nonotify``'s cross-directory drain needs fan-out), and a small
+open-loop point (cord, so and tardis, with and without faults) for the
+polling ``load_req``/``load_resp`` round trip and the same-pair FIFO
+clamp the closed-loop runs barely reach.
 
 If a hash changes, either the change was an intended semantic fix (then
 regenerate: ``REPRO_UPDATE_HASHES=1 pytest tests/test_state_hash.py`` and
@@ -22,12 +26,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import CXL
+from repro.config import CXL, SystemConfig
 from repro.faults import DropSpec, DuplicateSpec, FaultPlan, FlapSpec
 from repro.harness import RunSpec
 from repro.harness.executor import _execute_spec
 from repro.harness.experiments import default_config
 from repro.workloads.micro import MicroSpec
+from repro.workloads.openloop import OpenLoopSpec
 from repro.workloads.table2 import APPLICATIONS
 
 EXPECTED_PATH = Path(__file__).parent / "data" / "state_hash_basket.json"
@@ -55,7 +60,8 @@ BASKET = [
 
 #: Multi-pod coverage: the two-level fabric (pod uplink/downlink
 #: contention, inter-pod latency tier) takes code paths the pods=1
-#: basket never touches, with and without fault injection.
+#: basket never touches, with and without fault injection; tardis adds
+#: its lease-granting load path on the same fabric.
 POD_BASKET = [
     (f"{protocol}+pods2{'+faults' if faults else ''}",
      RunSpec(kind="app", protocol=protocol, workload=APPLICATIONS["CR"],
@@ -63,6 +69,11 @@ POD_BASKET = [
              experiment="hash-basket"))
     for protocol in ("cord", "so")
     for faults in (None, FAULTS)
+] + [
+    ("tardis+pods2",
+     RunSpec(kind="app", protocol="tardis", workload=APPLICATIONS["CR"],
+             config=default_config(CXL).with_pods(2), seed=0,
+             experiment="hash-basket")),
 ]
 
 #: Small-but-busy micro point: fine stores, frequent releases and fan-out
@@ -78,7 +89,23 @@ MICRO_BASKET = [
              experiment="hash-basket"))
     for protocol in ("seq8", "seq40", "cord-nonotify")
 ]
-BASKET = BASKET + POD_BASKET + MICRO_BASKET
+
+#: Open-loop point: Poisson arrivals on a two-pod fabric drive the polling
+#: ``load_req``/``load_resp`` round trip and the same-pair FIFO clamp that
+#: the closed-loop CR runs barely reach, with and without fault injection.
+OPENLOOP = OpenLoopSpec(arrival="poisson", interarrival_ns=1500.0,
+                        requests=12, warmup=2, seed=3)
+
+OPENLOOP_BASKET = [
+    (f"{protocol}+openloop{'+faults' if faults else ''}",
+     RunSpec(kind="openloop", protocol=protocol, workload=OPENLOOP,
+             config=SystemConfig().scaled(8, 2).with_interconnect(CXL)
+             .with_pods(2),
+             seed=0, faults=faults, experiment="hash-basket"))
+    for protocol in ("cord", "so", "tardis")
+    for faults in (None, FAULTS)
+]
+BASKET = BASKET + POD_BASKET + MICRO_BASKET + OPENLOOP_BASKET
 
 
 def _expected() -> dict:
@@ -96,7 +123,8 @@ class TestStateHashBasket:
             pytest.skip("regenerating expected hashes")
         labels = [label for label, _spec in BASKET]
         assert (len(labels) == len(set(labels))
-                == 2 * len(PROTOCOLS) + len(POD_BASKET) + len(MICRO_BASKET))
+                == 2 * len(PROTOCOLS) + len(POD_BASKET) + len(MICRO_BASKET)
+                + len(OPENLOOP_BASKET))
         assert set(_expected()) == set(labels)
 
     @pytest.mark.parametrize(
