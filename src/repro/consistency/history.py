@@ -9,8 +9,7 @@ consistency or TSO.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.consistency.ops import Ordering
 
@@ -23,13 +22,14 @@ class EventKind(enum.Enum):
     FENCE = "fence"
 
 
-@dataclass(frozen=True)
-class HistoryEvent:
+class HistoryEvent(NamedTuple):
     """One committed/performed memory event.
 
     For stores, ``value`` is the value written; for loads, the value read.
     ``uid`` is unique per event; stores in litmus programs write unique values
-    so reads-from edges are unambiguous.
+    so reads-from edges are unambiguous.  Timed runs build one per
+    committed store, so this is a named tuple: it is built in one call,
+    where a frozen dataclass pays one ``object.__setattr__`` per field.
     """
 
     uid: int
@@ -66,10 +66,8 @@ class ExecutionHistory:
         addr: Optional[int] = None,
         value: Optional[int] = None,
     ) -> HistoryEvent:
-        event = HistoryEvent(
-            uid=self._next_uid, core=core, program_index=program_index,
-            kind=kind, ordering=ordering, addr=addr, value=value,
-        )
+        event = HistoryEvent(self._next_uid, core, program_index, kind,
+                             ordering, addr, value)
         self._next_uid += 1
         self._events.append(event)
         return event

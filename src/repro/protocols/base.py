@@ -192,7 +192,8 @@ class CorePort(abc.ABC):
         old = yield from self._atomic_round_trip(op, program_index)
         return old
 
-    def _atomic_round_trip(self, op: MemOp, program_index: int) -> Generator:
+    def _atomic_round_trip(self, op: MemOp, program_index: int,
+                           metadata_bits: int = 0) -> Generator:
         req_id = self._next_req
         self._next_req += 1
         signal = self.sim.signal(f"atomic{req_id}@core{self.core.core_id}")
@@ -201,7 +202,7 @@ class CorePort(abc.ABC):
             src=self.node,
             dst=self.home(op.addr),
             msg_type="atomic_req",
-            size_bytes=self.sizes.data_bytes(op.size),
+            size_bytes=self.sizes.data_bytes(op.size, metadata_bits),
             control=False,
             payload={
                 "addr": op.addr,

@@ -667,8 +667,16 @@ def _seq_issue(ps: Any, home: int, ordered: bool,
 
 def _seq_issue_atomic(ps: Any, home: int, ordered: bool,
                       barrier: bool = False) -> List[Emit]:
-    # RMWs take the synchronous round trip outside the sequence stream.
-    return [Emit("atomic")]
+    # A Release RMW takes a slot in the per-core sequence stream, so its
+    # delivery waits for every earlier store (MP+faa.rel).  A relaxed RMW
+    # orders nothing and stays outside the stream: the core blocks on
+    # the round trip, so it completes before any later Release issues.
+    if not ordered:
+        return [Emit("atomic")]
+    seq = ps.seq_next
+    ps.seq_next += 1
+    ps.seq_outstanding += 1
+    return [Emit("atomic", {"seq": seq})]
 
 
 def _seq_fence_done(ps: Any) -> bool:
@@ -704,6 +712,27 @@ def _seq_flush_ack_effect(ctx: DeliveryContext,
                           fields: Mapping[str, Any]) -> None:
     ctx.core.seq_watermark = ctx.core.seq_next
     ctx.wake()
+
+
+def _sequenced_atomic_guard(ctx: DeliveryContext,
+                            fields: Mapping[str, Any]) -> bool:
+    """An RMW that carries a ``seq`` (SEQ Release RMWs, every Tardis RMW)
+    commits in the per-core stream like any store.
+
+    A seq-less ``atomic`` passes through unguarded: SEQ's relaxed RMWs,
+    and, since mixed-protocol runs merge delivery rules by message name,
+    RMWs issued by cores of another protocol."""
+    seq = fields.get("seq")
+    if seq is None:
+        return True
+    return ctx.seq_committed(fields["core"]) >= seq
+
+
+def _sequenced_atomic_effect(ctx: DeliveryContext,
+                             fields: Mapping[str, Any]) -> None:
+    ctx.perform_atomic(fields)
+    if fields.get("seq") is not None:
+        ctx.seq_commit(fields["core"])
 
 
 # --- Tardis -----------------------------------------------------------------
@@ -773,26 +802,6 @@ def _tardis_store_effect(ctx: DeliveryContext,
                          fields: Mapping[str, Any]) -> None:
     ctx.commit(fields)
     ctx.seq_commit(fields["core"])
-
-
-def _tardis_atomic_guard(ctx: DeliveryContext,
-                         fields: Mapping[str, Any]) -> bool:
-    """A Tardis RMW commits in the per-core stream like any store.
-
-    Mixed-protocol runs merge delivery rules by message name, so a
-    seq-less ``atomic`` (issued by a non-Tardis core) passes through
-    unguarded."""
-    seq = fields.get("seq")
-    if seq is None:
-        return True
-    return ctx.seq_committed(fields["core"]) >= seq
-
-
-def _tardis_atomic_effect(ctx: DeliveryContext,
-                          fields: Mapping[str, Any]) -> None:
-    ctx.perform_atomic(fields)
-    if fields.get("seq") is not None:
-        ctx.seq_commit(fields["core"])
 
 
 # ---------------------------------------------------------------------------
@@ -1084,6 +1093,10 @@ def _make_seq_spec(bits: int) -> ProtocolSpec:
                 name="seq_flush_ack", fifo=FifoClass.NONE, control=True,
                 consumer="core", timed_only=True),
             **_ATOMIC_MESSAGES,
+            # A sequenced (Release) RMW carries its sequence number on
+            # the wire, as seq_store does; a relaxed one carries none.
+            "atomic": replace(_ATOMIC_MESSAGES["atomic"],
+                              bits=seq_bits_fn),
             **_LOAD_MESSAGES,
         },
         issue={
@@ -1119,11 +1132,14 @@ def _make_seq_spec(bits: int) -> ProtocolSpec:
                                           effects=_seq_flush_ack_effect,
                                           core_side=True),
             **_SHARED_DELIVERY,
+            "atomic": DeliveryRule(message="atomic",
+                                   guard=_sequenced_atomic_guard,
+                                   effects=_sequenced_atomic_effect),
         },
         fence=FenceRule(done=_seq_fence_done, timed_drain="flush",
                         stall_cause="seq_drain"),
-        retry_order=("seq_store", "seq_flush"),
-        progress_on=("seq_store", "seq_flush"),
+        retry_order=("seq_store", "seq_flush", "atomic"),
+        progress_on=("seq_store", "seq_flush", "atomic"),
         seq_bits=bits,
     )
 
@@ -1191,8 +1207,8 @@ TARDIS_SPEC = ProtocolSpec(
         # Override the shared unguarded RMW: Tardis RMWs carry a seq and
         # commit in the per-core stream.
         "atomic": DeliveryRule(message="atomic",
-                               guard=_tardis_atomic_guard,
-                               effects=_tardis_atomic_effect),
+                               guard=_sequenced_atomic_guard,
+                               effects=_sequenced_atomic_effect),
     },
     fence=FenceRule(done=_tardis_fence_done, timed_drain="none",
                     stall_cause=""),

@@ -579,12 +579,17 @@ class TableCorePort(CorePort):
     # ------------------------------------------------------------------
     def _seq_store(self, rule: CompiledIssue, op: MemOp, program_index: int,
                    home_index: int) -> Generator:
+        yield from self._seq_window(rule, home_index)
+        self._issue_and_send(rule, op.addr, op.size, op.value,
+                             program_index, home_index, op.ordering)
+
+    def _seq_window(self, rule: CompiledIssue, home_index: int) -> Generator:
+        """Note the op's home as a directory a later flush must ask, and
+        flush first if the op would overrun the sequence window."""
         self._seen_dirs.add(home_index)
         guard = rule.timed_guard or rule.guard
         if guard(self, home_index) is not None:
             yield from self._flush(rule.stall_cause)
-        self._issue_and_send(rule, op.addr, op.size, op.value,
-                             program_index, home_index, op.ordering)
 
     def _flush(self, cause: str) -> Generator:
         """Stall until the directories confirm all prior seqs committed."""
@@ -621,9 +626,8 @@ class TableCorePort(CorePort):
                     break
                 self.cord.record_stall(reason)
                 yield from self._barrier_release(home_index, program_index)
-        # escape="flush" (SEQ): RMWs ride the synchronous round trip
-        # outside the sequence stream — the checker's window gating is a
-        # checker-only conservatism.
+        elif rule.escape == "flush":
+            yield from self._seq_window(rule, home_index)
         emits = rule.effects(self, home_index, ordered)
         last = emits[-1]
         if last.message == "atomic":
@@ -631,9 +635,12 @@ class TableCorePort(CorePort):
             if meta is not None:            # CORD Relaxed RMW metadata
                 op.meta["cord_meta"] = meta
             seq = last.fields.get("seq")
-            if seq is not None:             # Tardis: RMW rides the seq chain
+            bits = 0
+            if seq is not None:             # SEQ/Tardis: RMW rides the seq chain
                 op.meta["seq"] = seq
-            old = yield from self._atomic_round_trip(op, program_index)
+                bits = self._msg_bits[self._compiled.msg_id["atomic"]]
+            old = yield from self._atomic_round_trip(op, program_index,
+                                                     metadata_bits=bits)
             return old
         # Release-ordered RMW through the ordered-store carrier (CORD):
         # the directory performs the RMW when the Release commits and

@@ -17,8 +17,8 @@ always produce identical executions.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
 __all__ = [
@@ -56,11 +56,11 @@ class DeadlockDiagnostic:
     ``reason`` is ``"deadlock"`` (event queue drained with unfinished
     processes) or ``"livelock"`` (event budget exhausted).  ``stuck`` lists
     every watched-but-unfinished process with its last-progress time;
-    ``pending`` samples the earliest pending events — queued *and* any
-    not-yet-dispatched remainder of the kernel's current same-timestamp
-    batch (usually but not necessarily empty on deadlock); ``state``
-    carries whatever the simulator's ``diagnostic_hooks`` contributed
-    (e.g. the machine's unacked-table snapshots).
+    ``pending`` samples the earliest pending events in dispatch order,
+    including what is left of a timestamp whose dispatch the budget cut
+    short; ``state`` carries whatever the simulator's
+    ``diagnostic_hooks`` contributed (e.g. the machine's unacked-table
+    snapshots).
     """
 
     reason: str
@@ -273,20 +273,22 @@ class Simulator:
 
     Time units are abstract; the coherence models use nanoseconds throughout
     (``repro.config`` converts cycle counts to ns).
+
+    Pending events live in *buckets*: ``_buckets`` maps each exact due
+    time to a list of ``(callback, args)`` in scheduling order, and
+    ``_times`` is a heap of the distinct due times.  Scheduling is a dict
+    lookup and a list append (plus one heap push for a new time); the run
+    loops pop one time per bucket and dispatch its list in order.  List
+    order is the same-time FIFO, so no sequence number is kept
+    (DESIGN.md decision 13).
     """
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._queue: List[Tuple[float, int, Callable[..., None], tuple]] = []
-        self._sequence = 0
+        self._buckets: Dict[float, List[Tuple[Callable[..., None], tuple]]] = {}
+        self._times: List[float] = []
         self.processed_events = 0
         self._processes: List[Process] = []
-        #: Same-timestamp batch being dispatched by
-        #: :meth:`run_until_processes_finish`; ``_batch[_batch_pos:]`` is
-        #: the not-yet-executed remainder, which diagnostics and
-        #: :attr:`pending_events` count alongside the heap.
-        self._batch: List[Tuple[float, int, Callable[..., None], tuple]] = []
-        self._batch_pos = 0
         #: Optional :class:`repro.trace.TraceCollector`.  The kernel never
         #: records into it itself; it is the well-known place actors reach
         #: their run's collector (``self.sim.trace``), and ``None`` — the
@@ -305,24 +307,34 @@ class Simulator:
         """Run ``callback(*args)`` after ``delay`` time units."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        self._sequence += 1
-        heapq.heappush(self._queue, (self.now + delay, self._sequence, callback, args))
+        when = self.now + delay
+        bucket = self._buckets.get(when)
+        if bucket is None:
+            self._buckets[when] = [(callback, args)]
+            heappush(self._times, when)
+        else:
+            bucket.append((callback, args))
 
     def schedule_at(self, when: float, callback: Callable[..., None], *args: Any) -> None:
         """Run ``callback(*args)`` at absolute time ``when``.
 
-        The event is queued at ``when`` exactly.  Callers that clamp
-        several events to one arrival time (the network's per-pair FIFO
-        clamp) rely on this: they then fire in scheduling order.  The
-        round trip ``now + (when - now)`` can land one ulp below ``when``
-        for a later call and one ulp above it for an earlier one, which
-        reorders them.
+        The event is queued in the bucket of ``when`` exactly.  Callers
+        that clamp several events to one arrival time (the network's
+        per-pair FIFO clamp) rely on this: they then fire in scheduling
+        order.  The round trip ``now + (when - now)`` can land one ulp
+        below ``when`` for a later call and one ulp above it for an
+        earlier one, which puts them in different buckets in the wrong
+        order.
         """
         if when < self.now:
             raise SimulationError(
                 f"cannot schedule in the past (delay={when - self.now})")
-        self._sequence += 1
-        heapq.heappush(self._queue, (when, self._sequence, callback, args))
+        bucket = self._buckets.get(when)
+        if bucket is None:
+            self._buckets[when] = [(callback, args)]
+            heappush(self._times, when)
+        else:
+            bucket.append((callback, args))
 
     def process(
         self, generator: Generator[Any, Any, Any], name: str = ""
@@ -344,15 +356,57 @@ class Simulator:
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Process a single event.  Returns False when the queue is empty."""
-        if not self._queue:
-            return False
-        when, _seq, callback, args = heapq.heappop(self._queue)
-        if when < self.now:
-            raise SimulationError("event queue corrupted: time went backwards")
-        self.now = when
-        self.processed_events += 1
-        callback(*args)
-        return True
+        return self._dispatch(float("inf"), 1, [1]) == 1
+
+    def _dispatch(self, until: float, budget: float,
+                  remaining: List[int]) -> int:
+        """Dispatch buckets in time order; return the events dispatched.
+
+        Stops when nothing is pending, the next time is past ``until``,
+        ``budget`` events have run, or ``remaining[0]`` drops to zero.
+        A bucket is dispatched while it is still the entry for its time,
+        so an event scheduled at the current time is appended to the list
+        being dispatched and runs after every event already due, as
+        scheduling order requires, without touching the heap.  A stop
+        part-way through a bucket (processes finished, budget exhausted,
+        a callback raised) trims the dispatched prefix and leaves the
+        rest pending in front of anything scheduled at that time since.
+        ``processed_events`` is brought up to date as each bucket ends.
+
+        This loop runs every event of every simulation, so overhead here
+        is global overhead.
+        """
+        buckets = self._buckets
+        times = self._times
+        events = 0
+        while remaining[0] and times:
+            when = times[0]
+            if when > until or events >= budget:
+                break
+            if when < self.now:
+                raise SimulationError(
+                    "event queue corrupted: time went backwards")
+            self.now = when
+            batch = buckets[when]
+            left = budget - events
+            done = 0
+            try:
+                for callback, args in batch:
+                    if done >= left:
+                        break
+                    done += 1
+                    callback(*args)
+                    if not remaining[0]:
+                        break
+            finally:
+                self.processed_events += done
+                events += done
+                if done < len(batch):
+                    del batch[:done]
+                else:
+                    del buckets[when]
+                    heappop(times)
+        return events
 
     def run(
         self,
@@ -363,17 +417,13 @@ class Simulator:
 
         Returns the simulation time at exit.
         """
-        events = 0
-        while self._queue:
-            when = self._queue[0][0]
-            if until is not None and when > until:
-                break
-            if max_events is not None and events >= max_events:
-                # Interrupted mid-horizon: leave the clock at the last
-                # processed event so a later run() can resume.
-                return self.now
-            self.step()
-            events += 1
+        horizon = float("inf") if until is None else until
+        budget = float("inf") if max_events is None else max_events
+        events = self._dispatch(horizon, budget, [1])
+        if events >= budget and self._times and self._times[0] <= horizon:
+            # Interrupted mid-horizon: leave the clock at the last
+            # processed event so a later run() can resume.
+            return self.now
         # The horizon was reached, whether or not any events remain past
         # it: the clock always advances to ``until`` (a drained queue
         # must not leave ``now`` stuck at the last event time).
@@ -395,17 +445,8 @@ class Simulator:
         diagnostic names the stuck processes instead of a bare string.
         """
         watched = list(processes)
-        # Hot loop: a finish-callback counter replaces the per-event
-        # ``all(p.finished ...)`` scan, and the queue is drained in
-        # *same-timestamp batches* — one heappop run per distinct
-        # timestamp instead of a pop/compare/clock-write per event.  This
-        # loop processes every event of every simulation, so overhead
-        # here is global overhead.  Dispatch order is identical to the
-        # per-event loop: a batch holds one timestamp's events in
-        # sequence order, and anything a callback schedules at the *same*
-        # timestamp receives a larger sequence number, so it sorts after
-        # the drained run and is picked up by the next batch — FIFO
-        # within a timestamp is preserved (DESIGN.md decision 13).
+        # A finish-callback counter replaces a per-event
+        # ``all(p.finished ...)`` scan.
         remaining = [0]
 
         def _one_finished(_proc: Process) -> None:
@@ -415,61 +456,13 @@ class Simulator:
             if not proc.finished:
                 remaining[0] += 1
                 proc.on_finish(_one_finished)
-        queue = self._queue
-        pop = heapq.heappop
-        push = heapq.heappush
-        batch = self._batch
-        events = 0
         budget = float("inf") if max_events is None else max_events
-        while remaining[0]:
+        events = self._dispatch(float("inf"), budget, remaining)
+        if remaining[0]:
             if events >= budget:
-                # Checked before popping so the clock stays at the last
-                # processed event (matching the per-event loop); the
-                # mid-batch check below covers exhaustion inside a run.
                 raise DeadlockError(
-                    self.diagnose("livelock", watched, max_events=max_events)
-                )
-            if not queue:
-                raise DeadlockError(self.diagnose("deadlock", watched))
-            entry = pop(queue)
-            when = entry[0]
-            if when < self.now:
-                raise SimulationError(
-                    "event queue corrupted: time went backwards"
-                )
-            self.now = when
-            del batch[:]
-            batch.append(entry)
-            while queue and queue[0][0] == when:
-                batch.append(pop(queue))
-            i = 0
-            n = len(batch)
-            self._batch_pos = 0
-            try:
-                while i < n:
-                    if events >= budget:
-                        # The budget died mid-batch: the remainder is
-                        # still pending work — diagnose() and
-                        # pending_events see it via _batch_pos.
-                        raise DeadlockError(self.diagnose(
-                            "livelock", watched, max_events=max_events))
-                    _w, _seq, callback, args = batch[i]
-                    i += 1
-                    self._batch_pos = i
-                    self.processed_events += 1
-                    callback(*args)
-                    events += 1
-                    if not remaining[0]:
-                        break
-            finally:
-                # Watched processes finished (or a callback raised)
-                # mid-batch: restore the unexecuted remainder so the
-                # queue stays consistent for callers and later runs.
-                if self._batch_pos < n:
-                    for entry in batch[self._batch_pos:]:
-                        push(queue, entry)
-                del batch[:]
-                self._batch_pos = 0
+                    self.diagnose("livelock", watched, max_events=max_events))
+            raise DeadlockError(self.diagnose("deadlock", watched))
         return self.now
 
     def diagnose(
@@ -485,18 +478,16 @@ class Simulator:
             for p in watched if not p.finished
         ]
         pending = []
-        source = list(self._queue)
-        if self._batch_pos < len(self._batch):
-            # Mid-batch diagnosis (budget exhausted while dispatching a
-            # same-timestamp run): the unexecuted remainder is pending
-            # work even though it is not on the heap right now.
-            source.extend(self._batch[self._batch_pos:])
-        for when, _seq, callback, args in sorted(source)[:pending_sample]:
-            pending.append({
-                "at_ns": when,
-                "callback": getattr(callback, "__qualname__", repr(callback)),
-                "args": ", ".join(repr(a)[:60] for a in args),
-            })
+        for when in sorted(self._times):
+            for callback, args in self._buckets[when]:
+                if len(pending) == pending_sample:
+                    break
+                pending.append({
+                    "at_ns": when,
+                    "callback": getattr(callback, "__qualname__",
+                                        repr(callback)),
+                    "args": ", ".join(repr(a)[:60] for a in args),
+                })
         state: Dict[str, Any] = {}
         for hook in self.diagnostic_hooks:
             try:
@@ -515,4 +506,4 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        return len(self._queue) + max(0, len(self._batch) - self._batch_pos)
+        return sum(len(bucket) for bucket in self._buckets.values())

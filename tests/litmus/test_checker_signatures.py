@@ -12,13 +12,6 @@ code path it touched.
 ``symmetry_canon`` is deliberately not pinned: which orbit member has the
 smallest digest depends on how a key is encoded, not on the state graph.
 
-Known defect recorded as-is: ``seq2`` reaches the forbidden MP outcome on
-all four ``MP+faa.rel.*`` shapes (the benchmark's check-suite leaves those
-shapes out of its seq2 batch for the same reason, see
-``SEQ_EXCLUDED_PREFIX`` in ``perfbench/work.py``).  Those four rows pin
-today's outcome sets, forbidden outcome included; the fix must regenerate
-exactly those rows and no others.
-
 If a signature changes, either the change was an intended semantic fix
 (then regenerate: ``REPRO_UPDATE_SIGNATURES=1 pytest
 tests/litmus/test_checker_signatures.py`` and commit the JSON alongside an

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.litmus import LitmusTest, ModelChecker, ld, poll_acq, st, st_rel
+from repro.litmus.runner import run_timed
+from repro.litmus.suite import classic_tests
+from tests.litmus.test_differential import _config_for, _registers_only
 
 MP = LitmusTest(
     name="MP",
@@ -96,3 +99,30 @@ class TestSeqReleaseFence:
         )
         result = ModelChecker(test, protocol="cord").run()
         assert result.passed
+
+
+class TestReleaseRmw:
+    @pytest.mark.parametrize("protocol", ["seq2", "seq8"])
+    def test_release_rmw_orders_prior_stores(self, protocol):
+        """Regression: SEQ sent every RMW outside the per-core sequence
+        stream, so the release FAA in MP+faa.rel could commit before the
+        program-order-earlier store and the checker reached the forbidden
+        outcome.  The RMW now takes a sequence slot and its delivery
+        waits for every earlier store: the checker passes, and each timed
+        run lands on a checker-reachable, RC-clean outcome."""
+        shapes = [t for t in classic_tests()
+                  if t.name.startswith("MP+faa.rel")]
+        assert len(shapes) == 4, "MP+faa.rel shapes missing from the suite"
+        for test in shapes:
+            config = _config_for(test)
+            check = ModelChecker(test, protocol=protocol,
+                                 config=config).run()
+            assert check.passed, (test.name, check.forbidden_reached)
+            reachable = {_registers_only(o) for o in check.outcomes}
+            for seed in range(3):
+                timed = run_timed(test, protocol=protocol, config=config,
+                                  latency_jitter=0.85 if seed else 0.0,
+                                  seed=seed)
+                assert timed.passed, (test.name, seed, timed.outcome)
+                assert _registers_only(timed.outcome) in reachable, (
+                    test.name, seed, timed.outcome)

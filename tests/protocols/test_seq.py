@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Machine, ProgramBuilder
+from repro import Machine, Ordering, ProgramBuilder
 from repro.protocols.table import table_protocol_classes
 from tests.protocols.conftest import producer_consumer
 
@@ -57,6 +57,45 @@ class TestOverflow:
         # 40-bit sequence numbers inflate every store beyond the reserved
         # header bits; 8-bit ones ride free.
         assert traffic("seq40") > traffic("seq8")
+
+
+class TestReleaseRmw:
+    """A Release RMW takes a slot in the per-core sequence stream: it
+    commits after every earlier store, respects the sequence window and
+    carries its sequence number on the wire."""
+
+    def _run(self, config, protocol, stores, ordering):
+        machine = Machine(config, protocol=protocol)
+        amap = machine.address_map
+        builder = ProgramBuilder()
+        for i in range(stores):
+            builder.store(amap.address_in_host(1, 0x1000 + 64 * i),
+                          value=i + 1)
+        flag = amap.address_in_host(1, 0x4000)
+        builder.fetch_add(flag, 1, register="r0", ordering=ordering)
+        return machine.run({0: builder.build()}), flag
+
+    def test_release_rmw_commits_after_prior_stores(self, two_hosts):
+        result, flag = self._run(two_hosts, "seq8", 3, Ordering.RELEASE)
+        events = result.history.events
+        rmw = next(e for e in events if e.addr == flag)
+        stores = [e for e in events if e.is_store and e.addr != flag]
+        assert len(stores) == 3
+        assert all(e.uid < rmw.uid for e in stores)
+
+    def test_rmw_flushes_when_the_window_is_full(self, two_hosts):
+        # seq2's window holds three uncommitted numbers: a Release RMW
+        # after three stores needs the fourth slot, so it flushes first.
+        result, _ = self._run(two_hosts, "seq2", 3, Ordering.RELEASE)
+        assert result.message_count("seq_flush") >= 1
+        assert result.stall_ns("seq_overflow") > 0
+
+    def test_sequenced_rmw_carries_the_sequence_bits(self, two_hosts):
+        release, _ = self._run(two_hosts, "seq40", 0, Ordering.RELEASE)
+        relaxed, _ = self._run(two_hosts, "seq40", 0, Ordering.RELAXED)
+        extra = two_hosts.message_sizes.metadata_overhead_bytes(40)
+        assert extra > 0
+        assert release.inter_host_bytes - relaxed.inter_host_bytes == extra
 
 
 class TestFactory:

@@ -1,13 +1,15 @@
 """Edge cases of the simulation kernel's wake-up and deadlock semantics.
 
 These pin the level-free contract of :class:`~repro.sim.kernel.Signal`
-(kernel docstring) and the deadlock diagnostics that the timed litmus
-runner relies on to distinguish protocol hangs from slow convergence.
+(kernel docstring), the deadlock diagnostics that the timed litmus
+runner relies on to distinguish protocol hangs from slow convergence, and
+the dispatch order of same-time events when a run stops part-way through
+them (DESIGN.md decision 13).
 """
 
 import pytest
 
-from repro.sim.kernel import SimulationError, Simulator
+from repro.sim.kernel import DeadlockError, SimulationError, Simulator
 
 
 def drive(sim, processes, max_events=10_000):
@@ -193,3 +195,101 @@ class TestBoolYieldRejected:
             yield 2.5
 
         assert drive(sim, [sim.process(proc())]) == 3.5
+
+
+class TestSameTimeDispatch:
+    """The kernel's dispatch contract: events due at one time run in
+    scheduling order, events scheduled at that time while it is being
+    dispatched run after every event already due, and a run that stops
+    part-way through a time leaves the rest pending in that order."""
+
+    def test_event_scheduled_at_now_runs_after_those_already_due(self):
+        sim = Simulator()
+        log = []
+
+        def first():
+            log.append("a")
+            sim.schedule(0.0, log.append, "a+0")
+            sim.schedule_at(5.0, log.append, "a@5")
+
+        sim.schedule(5.0, first)
+        sim.schedule(5.0, log.append, "b")
+        sim.schedule(5.0, log.append, "c")
+        sim.schedule(6.0, log.append, "d")
+
+        def watched():
+            yield 10.0
+
+        drive(sim, [sim.process(watched(), name="watched")])
+        assert log == ["a", "b", "c", "a+0", "a@5", "d"]
+
+    def test_finish_mid_time_leaves_the_rest_pending_in_order(self):
+        sim = Simulator()
+        log = []
+
+        def worker():
+            yield 5.0
+            log.append("finish")
+
+        def plan():
+            # Due at t=5 after the worker's wake-up, which the worker's
+            # first resumption (earlier at t=0) already scheduled.
+            sim.schedule(5.0, log.append, "e1")
+            sim.schedule(5.0, log.append, "e2")
+
+        proc = sim.process(worker(), name="worker")
+        sim.schedule(0.0, plan)
+        assert drive(sim, [proc]) == 5.0
+        assert log == ["finish"]
+        assert sim.pending_events == 2
+        sim.schedule(0.0, log.append, "late")
+        sim.run()
+        assert log == ["finish", "e1", "e2", "late"]
+        assert sim.now == 5.0
+
+    def test_budget_exhausted_mid_time_reports_the_rest_first(self):
+        sim = Simulator()
+        log = []
+
+        def spawn():
+            log.append("e0")
+            sim.schedule(0.0, log.append, "child")
+
+        def stuck():
+            yield sim.signal("never")
+
+        proc = sim.process(stuck(), name="stuck")       # one event at t=0
+        sim.schedule(1.0, spawn)
+        for tag in ("e1", "e2", "e3", "e4"):
+            sim.schedule(1.0, log.append, tag)
+        sim.schedule(2.0, log.append, "later")
+        with pytest.raises(DeadlockError) as info:
+            drive(sim, [proc], max_events=3)
+        diag = info.value.diagnostic
+        assert diag.reason == "livelock"
+        assert log == ["e0", "e1"]
+        assert sim.now == 1.0
+        assert sim.pending_events == 5
+        assert [(p["at_ns"], p["args"]) for p in diag.pending] == [
+            (1.0, "'e2'"), (1.0, "'e3'"), (1.0, "'e4'"),
+            (1.0, "'child'"), (2.0, "'later'"),
+        ]
+        sim.run()
+        assert log == ["e0", "e1", "e2", "e3", "e4", "child", "later"]
+
+    def test_step_interleaved_with_zero_delay_schedules_keeps_fifo(self):
+        sim = Simulator()
+        log = []
+        sim.schedule(1.0, log.append, "a")
+        sim.schedule(1.0, log.append, "b")
+        assert sim.step() and log == ["a"] and sim.now == 1.0
+        sim.schedule(0.0, log.append, "c")
+        sim.schedule(1.0, log.append, "d")              # due at t=2
+        assert sim.step() and log == ["a", "b"]
+        sim.schedule(0.0, log.append, "e")
+        assert sim.step() and log == ["a", "b", "c"]
+        assert sim.step() and log == ["a", "b", "c", "e"]
+        assert sim.now == 1.0
+        assert sim.step() and log == ["a", "b", "c", "e", "d"]
+        assert sim.now == 2.0
+        assert not sim.step()
