@@ -5,7 +5,7 @@ Usage::
     python -m repro fig2            # SO ack overheads
     python -m repro fig7            # end-to-end workloads (RC)
     python -m repro fig8 store      # sensitivity panel: store|sync|fanout
-    python -m repro fig9 fanout     # latency sweep panel
+    python -m repro fig9 fanout     # latency sweep panel: store|sync|fanout
     python -m repro fig10           # bit-width study
     python -m repro fig11           # storage vs hosts
     python -m repro fig12           # ATA storage breakdown
@@ -14,12 +14,12 @@ Usage::
     python -m repro litmus          # full model-checking sweep (§4.5)
     python -m repro modelcheck      # same sweep via the executor: cached,
                                     # parallel (--jobs), per-case verdicts
-    python -m repro breakdown CR    # per-message-type traffic for one app
+    python -m repro breakdown CR    # per-message-type traffic for one
+                                    # Table-2 app (default CR)
     python -m repro energy CR       # §5.4 energy comparison for one app
     python -m repro resilience      # time/traffic under injected faults
     python -m repro scale           # open-loop protocol x topology x load
                                     # sweep -> run_table.csv + crossover
-    python -m repro bench           # engine throughput on a fixed basket
     python -m repro all             # everything (slow)
 
 Executor options (any experiment):
@@ -39,15 +39,6 @@ Executor options (any experiment):
                       repro.faults).  With 'litmus' this switches to the
                       fault-enabled timed sweep asserting safety and
                       deadlock-freedom under the plan.
-
-Bench options (``bench`` only; see ``repro.harness.bench``):
-
-    --quick           smoke basket (CI): smaller runs, 1 repeat
-    --repeats N       timing repeats per point (best-of-N; default 3)
-    --threshold F     fractional events/sec drop tolerated before a point
-                      counts as regressed vs BENCH_engine.json (default 0.25)
-    --out PATH        output path (default: BENCH_engine.json)
-    --strict          exit 1 when a point regressed beyond the threshold
 
 Modelcheck options (``modelcheck`` only; see ``repro.harness.modelcheck``):
 
@@ -94,24 +85,17 @@ from repro.harness import (
     fig12_storage_breakdown,
     fig13_tso,
     print_rows,
+    protocol_comparison,
     resilience_sweep,
     set_default_executor,
     table3_area_power,
 )
+from repro.overheads import energy_comparison
+from repro.workloads import APPLICATIONS
 
 
-def _breakdown(app_name: str) -> None:
-    from repro.harness import message_breakdown, print_rows, protocol_comparison
-    name = app_name if app_name != "store" else "CR"
-    print_rows(protocol_comparison(name),
-               f"Message breakdown: {name} across protocols")
-
-
-def _energy(app_name: str) -> None:
-    from repro.harness import print_rows
-    from repro.overheads import energy_comparison
-    name = app_name if app_name != "store" else "CR"
-    print_rows(energy_comparison(name), f"Energy: {name} (§5.4 constants)")
+#: Fig. 8 and Fig. 9 panels: the application parameter each one sweeps.
+_PANELS = ("store", "sync", "fanout")
 
 
 def _run_litmus(executor: Optional[Executor] = None) -> None:
@@ -228,12 +212,6 @@ def main(argv=None) -> int:
         print(__doc__)
         return 0
 
-    if args[0] == "bench":
-        # The bench harness times the raw engine: no executor, no result
-        # cache, and its own flags (--quick/--repeats/--threshold/...).
-        from repro.harness.bench import run_bench_cli
-        return run_bench_cli(args[1:])
-
     if args[0] == "modelcheck":
         # Suite-wide model checking has its own flags (SUITE/--max-states/
         # --no-por) interleaved with the executor ones; it parses both.
@@ -255,6 +233,15 @@ def main(argv=None) -> int:
 
     command, rest = args[0], args[1:]
     panel = rest[0] if rest else "store"
+    app_name = rest[0] if rest else "CR"
+    if command in ("fig8", "fig9") and panel not in _PANELS:
+        print(f"unknown {command} panel {panel!r}; choose from "
+              f"{list(_PANELS)}")
+        return 2
+    if command in ("breakdown", "energy") and app_name not in APPLICATIONS:
+        print(f"unknown application {app_name!r}; choose from "
+              f"{list(APPLICATIONS)}")
+        return 2
 
     ex = executor
     experiments = {
@@ -282,8 +269,11 @@ def main(argv=None) -> int:
         "resilience": lambda: print_rows(
             resilience_sweep(executor=ex),
             "Resilience: time/traffic under injected faults"),
-        "breakdown": lambda: _breakdown(panel),
-        "energy": lambda: _energy(panel),
+        "breakdown": lambda: print_rows(
+            protocol_comparison(app_name),
+            f"Message breakdown: {app_name} across protocols"),
+        "energy": lambda: print_rows(energy_comparison(app_name),
+                                     f"Energy: {app_name} (§5.4 constants)"),
     }
 
     # Route any harness call made behind these entry points (and "all")

@@ -82,6 +82,7 @@ from repro.memory.address import AddressMap
 from repro.protocols.factory import validate_checkable_protocol
 from repro.protocols.spec import (
     DeliveryContext,
+    DeliveryRule,
     ample_kinds,
     cord_barrier_batch_reason,
     fifo_class_for,
@@ -709,6 +710,19 @@ class _CheckerContext(DeliveryContext):
         pass  # enabledness is re-evaluated per state
 
 
+def _by_issuer(rules: List[Optional[DeliveryRule]]) -> DeliveryRule:
+    """A delivery row that runs ``rules[core]`` for a message issued by
+    ``core`` (its ``core`` field)."""
+    def guard(ctx: DeliveryContext, fields: Any) -> bool:
+        return rules[fields["core"]].enabled(ctx, fields)
+
+    def effects(ctx: DeliveryContext, fields: Any) -> None:
+        rules[fields["core"]].effects(ctx, fields)
+
+    first = next(rule for rule in rules if rule is not None)
+    return replace(first, guard=guard, effects=effects)
+
+
 class ModelChecker:
     """Exhaustive interleaving exploration of a litmus test.
 
@@ -824,11 +838,20 @@ class ModelChecker:
         # rows the timed interpreter executes.
         self._specs = [get_spec(proto) for proto in self.core_protocols]
         self._so_spec = get_spec("so")  # mixed-mode ``via: so`` carriers
-        # SO's rules ride along for the via-so carriers a CORD core can
-        # emit (§4.5 mixed mode).
-        self._delivery_rules: Dict[str, Any] = dict(self._so_spec.delivery)
-        for spec in self._specs:
-            self._delivery_rules.update(spec.delivery)
+        # Each core's table, with SO's rules underneath for the via-so
+        # carriers a CORD core can emit (§4.5 mixed mode).  A kind whose
+        # rule differs between this test's cores (``atomic`` on a SEQ or
+        # Tardis core next to a CORD or SO one) is delivered by the rule of
+        # the core that issued it.
+        tables = [{**self._so_spec.delivery, **spec.delivery}
+                  for spec in self._specs]
+        self._delivery_rules: Dict[str, Any] = {}
+        for table in tables:
+            self._delivery_rules.update(table)
+        for kind in list(self._delivery_rules):
+            rules = [table.get(kind) for table in tables]
+            if len(set(rules) - {None}) > 1:
+                self._delivery_rules[kind] = _by_issuer(rules)
         self._fifo_classes: Dict[Tuple[str, Optional[str]], Any] = {}
         self._autos: List[Automorphism] = (
             find_automorphisms(self) if symmetry else []

@@ -719,9 +719,8 @@ def _sequenced_atomic_guard(ctx: DeliveryContext,
     """An RMW that carries a ``seq`` (SEQ Release RMWs, every Tardis RMW)
     commits in the per-core stream like any store.
 
-    A seq-less ``atomic`` passes through unguarded: SEQ's relaxed RMWs,
-    and, since mixed-protocol runs merge delivery rules by message name,
-    RMWs issued by cores of another protocol."""
+    A seq-less ``atomic`` (one of SEQ's relaxed RMWs) passes through
+    unguarded."""
     seq = fields.get("seq")
     if seq is None:
         return True

@@ -1,5 +1,7 @@
 """Model-checking the SEQ-k baseline (§4.1's naive design, Fig. 10)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.litmus import LitmusTest, ModelChecker, ld, poll_acq, st, st_rel
@@ -55,7 +57,6 @@ class TestSeqSafety:
                    if o.get("P1:r1") == 1)
 
     def test_mixed_seq_and_cord_cores(self):
-        from dataclasses import replace
         mixed = replace(MP, name="MP.seq-cord",
                         thread_protocols=["seq8", "cord"])
         result = ModelChecker(mixed, protocol="cord").run()
@@ -126,3 +127,25 @@ class TestReleaseRmw:
                 assert timed.passed, (test.name, seed, timed.outcome)
                 assert _registers_only(timed.outcome) in reachable, (
                     test.name, seed, timed.outcome)
+
+
+class TestMixedProtocolRmw:
+    @pytest.mark.parametrize("other", ["cord", "so"])
+    @pytest.mark.parametrize("sequenced", ["seq8", "tardis"])
+    def test_rmw_is_delivered_by_its_issuing_core(self, sequenced, other):
+        """Regression: the checker merged every core's delivery rules by
+        message name, so the last core's ``atomic`` rule delivered every
+        RMW.  With a CORD or SO core after a SEQ or Tardis producer, the
+        producer's sequenced release FAA committed ahead of its earlier
+        store and MP+faa.rel reached the forbidden outcome.  Each RMW now
+        runs the rule of the core that issued it, in either core order.
+        Only RC-ordered producers: ``mp`` reaches that outcome by design."""
+        shapes = [t for t in classic_tests()
+                  if t.name.startswith("MP+faa.rel")]
+        assert len(shapes) == 4, "MP+faa.rel shapes missing from the suite"
+        for test in shapes:
+            for protocols in ([sequenced, other], [other, sequenced]):
+                mixed = replace(test, thread_protocols=protocols)
+                check = ModelChecker(mixed, config=_config_for(mixed)).run()
+                assert check.passed, (test.name, protocols,
+                                      check.forbidden_reached)

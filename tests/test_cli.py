@@ -23,8 +23,9 @@ class TestCli:
         assert "Usage" in capsys.readouterr().out
 
     def test_unknown_experiment_fails(self, capsys):
-        assert main(["nope"]) == 2
-        assert "unknown experiment" in capsys.readouterr().out
+        for experiment in ("nope", "bench"):
+            assert main([experiment]) == 2
+            assert "unknown experiment" in capsys.readouterr().out
 
     def test_table3_runs(self, capsys):
         assert main(["table3"]) == 0
@@ -32,11 +33,25 @@ class TestCli:
         assert "store counter" in out
         assert "area_mm2" in out
 
-    def test_fig8_accepts_panel_argument(self, capsys):
+    def test_fig9_accepts_panel_argument(self, capsys):
         # Reduced check: the panel name flows through to the title.
         assert main(["fig9", "fanout"]) == 0
         out = capsys.readouterr().out
         assert "fanout" in out
+
+    @pytest.mark.parametrize("experiment, argument, choice", [
+        ("fig8", "bogus", "fanout"),
+        ("fig9", "bogus", "fanout"),
+        ("breakdown", "NOPE", "CR"),
+        ("energy", "NOPE", "CR"),
+    ], ids=["fig8", "fig9", "breakdown", "energy"])
+    def test_unknown_argument_fails(self, capsys, experiment, argument,
+                                    choice):
+        # Rejected before anything runs, naming the valid choices.
+        assert main([experiment, argument]) == 2
+        out = capsys.readouterr().out
+        assert repr(argument) in out and choice in out
+        assert "[executor]" not in out
 
 
 class TestScaleCli:
