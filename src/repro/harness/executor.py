@@ -197,10 +197,7 @@ def code_version() -> str:
     """Hash of every ``*.py`` file in the ``repro`` package.
 
     Part of every cache key, so editing any simulator/protocol source
-    invalidates previously cached runs.  The ``REPRO_INTERPRETED_TABLES``
-    differential seam selects a different execution path from the *same*
-    sources, so it is mixed in too (never memoized: the environment can
-    change between calls, e.g. under test monkeypatching).
+    invalidates previously cached runs.
     """
     global _CODE_VERSION
     if _CODE_VERSION is None:
@@ -211,11 +208,7 @@ def code_version() -> str:
             digest.update(str(path.relative_to(root)).encode())
             digest.update(path.read_bytes())
         _CODE_VERSION = digest.hexdigest()
-    from repro.protocols.table import interpreted_tables_enabled
-    version = _CODE_VERSION
-    if interpreted_tables_enabled():
-        version += "+interpreted-tables"
-    return version
+    return _CODE_VERSION
 
 
 def spec_key(spec: Any, version: Optional[str] = None) -> str:

@@ -837,13 +837,21 @@ class ModelChecker:
         # Per-core transition table: successor generation runs the same
         # rows the timed interpreter executes.
         self._specs = [get_spec(proto) for proto in self.core_protocols]
-        self._so_spec = get_spec("so")  # mixed-mode ``via: so`` carriers
+        so_spec = get_spec("so")  # mixed-mode ``via: so`` carriers
+        # The table each op issues by, resolved once per core and pc: a
+        # CORD core's ``via: so`` stores and RMWs take SO's rows (§4.5
+        # mixed mode).
+        self._issue_specs = [
+            [so_spec if spec.core_state == "cord"
+             and op.meta.get("via") == "so" else spec for op in program]
+            for spec, program in zip(self._specs, self.programs)
+        ]
         # Each core's table, with SO's rules underneath for the via-so
-        # carriers a CORD core can emit (§4.5 mixed mode).  A kind whose
-        # rule differs between this test's cores (``atomic`` on a SEQ or
-        # Tardis core next to a CORD or SO one) is delivered by the rule of
-        # the core that issued it.
-        tables = [{**self._so_spec.delivery, **spec.delivery}
+        # carriers a CORD core can emit.  A kind whose rule differs between
+        # this test's cores (``atomic`` on a SEQ or Tardis core next to a
+        # CORD or SO one) is delivered by the rule of the core that issued
+        # it.
+        tables = [{**so_spec.delivery, **spec.delivery}
                   for spec in self._specs]
         self._delivery_rules: Dict[str, Any] = {}
         for table in tables:
@@ -870,9 +878,9 @@ class ModelChecker:
     # ------------------------------------------------------------------
     def _initial(self) -> _State:
         cores = []
-        for core_index, proto in enumerate(self.core_protocols):
+        for core_index, spec in enumerate(self._specs):
             core = _CoreState()
-            if proto == "cord":
+            if spec.core_state == "cord":
                 core.cord = CordProcessorState(core_index, self.cord_config)
             cores.append(core)
         dirs = [
@@ -978,7 +986,7 @@ class ModelChecker:
             value = self._read_for_core(state, core_index, op.addr)
             exact = op.meta.get("cmp") == "eq"
             return value == op.value or (not exact and value >= op.value)
-        spec = self._specs[core_index]
+        spec = self._issue_specs[core_index][core.pc]
         if op.kind is OpKind.FENCE:
             if not op.ordering.is_release:
                 return True
@@ -991,8 +999,6 @@ class ModelChecker:
                 return cord_barrier_batch_reason(core.cord) is None
             return fence.done(core)
         # Stores and atomics (RMWs follow the same issue rules per class).
-        if spec.core_state == "cord" and op.meta.get("via") == "so":
-            spec = self._so_spec  # mixed-mode §4.5: SO's issue rules
         op_class = "atomic" if op.kind is OpKind.ATOMIC else "store"
         rule = spec.issue_rule(op_class, ordered)
         reason = rule.guard(core, self._home(op.addr))
@@ -1093,7 +1099,7 @@ class ModelChecker:
             )
             core.pc += 1
             return
-        spec = self._specs[core_index]
+        spec = self._issue_specs[core_index][core.pc]
         if op.kind is OpKind.FENCE:
             # Only a barrier-broadcasting (CORD) release fence issues
             # messages; every other fence gates in ``_core_enabled``
@@ -1116,8 +1122,6 @@ class ModelChecker:
             return
 
         home = self._home(op.addr)
-        if spec.core_state == "cord" and op.meta.get("via") == "so":
-            spec = self._so_spec  # mixed-mode §4.5: SO's issue rules
         if op.kind is OpKind.ATOMIC:
             self._table_step_atomic(state, core_index, spec, op, home,
                                     ordered)

@@ -1,12 +1,17 @@
 """Shared infrastructure for timed protocol actors.
 
-Each protocol (SO, CORD, MP, WB, SEQ-k) is a pair of classes:
+Every protocol runs as a pair of classes:
 
 * a :class:`CorePort` — the protocol logic at the processor side, driven as a
   generator by :class:`repro.cpu.core.Core` (so it can stall, wait on acks,
   and interleave with the core's program);
 * a :class:`DirectoryNode` — the protocol logic at an LLC slice/directory,
   driven by network message delivery.
+
+The table-driven protocols get their pair from
+:func:`repro.protocols.table.make_table_protocol` (one family of classes
+per ``ProtocolSpec.core_state``); WB's MESI machine is
+:mod:`repro.protocols.wb`.
 
 The base classes implement what every protocol shares: the load/response
 path, value storage at the commit point (for litmus value checking), LLC
@@ -192,8 +197,7 @@ class CorePort(abc.ABC):
         old = yield from self._atomic_round_trip(op, program_index)
         return old
 
-    def _atomic_round_trip(self, op: MemOp, program_index: int,
-                           metadata_bits: int = 0) -> Generator:
+    def _atomic_round_trip(self, op: MemOp, program_index: int) -> Generator:
         req_id = self._next_req
         self._next_req += 1
         signal = self.sim.signal(f"atomic{req_id}@core{self.core.core_id}")
@@ -202,19 +206,17 @@ class CorePort(abc.ABC):
             src=self.node,
             dst=self.home(op.addr),
             msg_type="atomic_req",
-            size_bytes=self.sizes.data_bytes(op.size, metadata_bits),
+            size_bytes=self.sizes.data_bytes(op.size),
             control=False,
             payload={
                 "addr": op.addr,
                 "value": op.value,
                 "size": op.size,
-                "proc": self.core.core_id,
+                "core": self.core.core_id,
                 "program_index": program_index,
                 "ordering": op.ordering,
                 "atomic": op.meta["atomic"],
                 "compare": op.meta.get("compare"),
-                "cord_meta": op.meta.get("cord_meta"),
-                "seq": op.meta.get("seq"),
                 "req_id": req_id,
             },
         ))
@@ -297,7 +299,7 @@ class DirectoryNode:
         self.llc.commit_write_through(addr, payload.get("size", 8))
         if not payload.get("barrier", False):
             self.machine.history.record(
-                core=payload["proc"],
+                core=payload["core"],
                 program_index=payload["program_index"],
                 kind=EventKind.STORE,
                 ordering=payload.get("ordering", Ordering.RELAXED),
@@ -325,7 +327,7 @@ class DirectoryNode:
         self.values[addr] = new
         self.llc.commit_write_through(addr, payload.get("size", 8))
         self.machine.history.record(
-            core=payload["proc"],
+            core=payload["core"],
             program_index=payload["program_index"],
             kind=EventKind.STORE,
             ordering=payload.get("ordering", Ordering.RELAXED),

@@ -1,35 +1,31 @@
 """Compiler: lower a linted :class:`~repro.protocols.spec.ProtocolSpec`
-into int-coded rule rows (ROADMAP "batched event processing" item).
+into int-coded rule rows.
 
-The timed interpreter in :mod:`repro.protocols.table` used to walk
-guard/action *closures* per event: every store resolved its
-:class:`MessageSpec` by name, rebuilt its wire sizes, and dispatched
-through ``rule.effects`` returning freshly allocated ``Emit`` lists.
-This module performs that resolution **once per spec**:
+Interpreting a table closure-by-closure would resolve each store's
+:class:`MessageSpec` by name, rebuild its wire sizes, and dispatch through
+``rule.effects`` returning freshly allocated ``Emit`` lists.  This module
+performs that resolution **once per spec**:
 
 * message names are interned to dense integer ids (``mid``); per-mid
   wire names, control classes and bit-width callables live in flat
   tuples indexed by ``mid``;
 * each issue rule gets a *guard opcode* and an *action opcode* — small
-  integers the interpreter switches on, with the original callables kept
-  as the ``*_CALL`` fallback (exotic or user-authored specs compile to
-  the generic opcodes and run exactly as before);
+  integers naming the shipped closure the row runs, with the original
+  callables kept behind the ``*_CALL`` fallback (exotic or user-authored
+  specs compile to the generic opcodes and run exactly as before);
 * each delivery rule gets a *delivery opcode* covering both its guard
   and its effect (the two are paired 1:1 in every shipped table);
-* emit templates (the static message-id sequence a rule produces, with
-  interned field-name keys) are precomputed by driving the rule once
-  against scratch state.
+* emit templates (the static message-id sequence a rule produces) are
+  precomputed by driving the rule once against scratch state.
+
+The timed interpreter (:mod:`repro.protocols.table`) binds each row once
+per spec: a protocol family that has an inline fast path for the row's
+opcode runs it, every other row runs its closures.
 
 Compilation is **lint-gated**: a spec that fails
 :func:`~repro.protocols.spec.lint_spec` raises :class:`LintError` before
-any actor is built, so the int-coded fast paths never run against a
-structurally ambiguous table (e.g. an undeclared barrier carrier — the
-``_carrier_info`` ordering-assumption bug this PR fixes).
-
-Setting ``REPRO_INTERPRETED_TABLES=1`` makes the interpreter ignore the
-opcodes and run every row through the original closures — the
-compiled-vs-interpreted differential seam used by
-``tests/protocols/test_compile.py``.
+any actor is built, so the fast paths never run against a structurally
+ambiguous table (e.g. an undeclared barrier carrier).
 """
 
 from __future__ import annotations
@@ -41,7 +37,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 from repro.protocols import spec as _spec_mod
 from repro.protocols.spec import (
     DeliveryRule,
-    FifoClass,
     IssueRule,
     LintError,
     ProtocolSpec,
@@ -175,11 +170,7 @@ class CompiledMessage:
     name: str
     wire_name: str
     control: bool
-    consumer: str
-    fifo: FifoClass
     bits: Optional[Callable[[Any], int]]
-    values_carrier: bool
-    barrier_carrier: bool
 
     def bit_width(self, cord_config: Any) -> int:
         return self.bits(cord_config) if self.bits is not None else 0
@@ -201,22 +192,18 @@ class CompiledIssue:
     #: Static emission template: interned ids of the messages this row
     #: emits when driven against scratch state.  Dynamic fan-out rows
     #: (CORD Release notifications) still list one id per *distinct*
-    #: message; the action opcode knows how to expand them.
+    #: message; the fast path knows how to expand them.
     emit_mids: Tuple[int, ...]
-    #: Interned field-name keys each templated emission attaches.
-    emit_fields: Tuple[Tuple[str, ...], ...]
 
-    # -- IssueRule mirror (kept flat: the interpreter's generic paths
-    # read these per issue) ------------------------------------------------
+    # -- IssueRule mirror (kept flat: the interpreter reads these per
+    # issue) ---------------------------------------------------------------
     name: str = ""
-    op_class: str = "store"
     ordered: bool = False
     guard: Any = None
     escape: str = "none"
     stall_cause: str = ""
     effects: Any = None
     timed_guard: Any = None
-    escape_guard: Any = None
     combining: bool = False
     source_drain: bool = False
 
@@ -229,9 +216,6 @@ class CompiledDelivery:
     mid: int
     name: str
     op: int
-    core_side: bool
-    retry: bool
-    progress: bool
 
 
 @dataclass(frozen=True)
@@ -262,20 +246,16 @@ _COMPILE_CACHE: Dict[str, CompiledProtocol] = {}
 
 
 def _issue_template(spec: ProtocolSpec, rule: IssueRule,
-                    msg_id: Mapping[str, int]):
+                    msg_id: Mapping[str, int]) -> Tuple[int, ...]:
     """Drive ``rule`` once against scratch state to discover its static
-    emit template (distinct message ids, in emission order, with the
-    field-name keys interned)."""
+    emit template (distinct message ids, in emission order)."""
     ps = _spec_mod._scratch_core_state(spec)
     mids: List[int] = []
-    fields: List[Tuple[str, ...]] = []
     for emit in rule.effects(ps, 0, rule.ordered):
         mid = msg_id[emit.message]
-        if mid in mids:         # fan-out repeats one template entry
-            continue
-        mids.append(mid)
-        fields.append(tuple(sys.intern(key) for key in emit.fields))
-    return tuple(mids), tuple(fields)
+        if mid not in mids:     # fan-out repeats one template entry
+            mids.append(mid)
+    return tuple(mids)
 
 
 def compile_spec(spec: ProtocolSpec) -> CompiledProtocol:
@@ -319,37 +299,27 @@ def compile_spec(spec: ProtocolSpec) -> CompiledProtocol:
             name=name,
             wire_name=sys.intern(message.wire_name),
             control=message.control,
-            consumer=message.consumer,
-            fifo=message.fifo,
             bits=message.bits,
-            values_carrier=name in values_carriers,
-            barrier_carrier=message.barrier_carrier,
         ))
 
     issue: Dict[Tuple[str, bool], CompiledIssue] = {}
     for key, rule in spec.issue.items():
-        emit_mids, emit_fields = _issue_template(spec, rule, msg_id)
         issue[key] = CompiledIssue(
             rule=rule,
             guard_op=_guard_opcode(rule),
             action_op=_action_opcode(rule),
-            emit_mids=emit_mids,
-            emit_fields=emit_fields,
+            emit_mids=_issue_template(spec, rule, msg_id),
             name=rule.name,
-            op_class=rule.op_class,
             ordered=rule.ordered,
             guard=rule.guard,
             escape=rule.escape,
             stall_cause=rule.stall_cause,
             effects=rule.effects,
             timed_guard=rule.timed_guard,
-            escape_guard=rule.escape_guard,
             combining=rule.combining,
             source_drain=rule.source_drain,
         )
 
-    retry = frozenset(spec.retry_order)
-    progress = frozenset(spec.progress_on)
     dir_wire: Dict[str, CompiledDelivery] = {}
     core_wire: Dict[str, CompiledDelivery] = {}
     for name, rule in spec.delivery.items():
@@ -359,9 +329,6 @@ def compile_spec(spec: ProtocolSpec) -> CompiledProtocol:
             mid=message.mid,
             name=name,
             op=_delivery_opcode(rule),
-            core_side=rule.core_side,
-            retry=name in retry,
-            progress=name in progress,
         )
         if rule.core_side:
             if message.wire_name != "load_resp":

@@ -347,7 +347,8 @@ class ProtocolSpec:
     """A protocol as one transition table, interpreted by both engines."""
 
     name: str
-    #: Which core-state block the protocol mutates: "cord" | "so" | "seq".
+    #: Which core-state block the protocol mutates, and so which family of
+    #: timed classes runs it: "so" (SO, MP) | "cord" | "seq" | "tardis".
     core_state: str
     messages: Mapping[str, MessageSpec]
     issue: Mapping[Tuple[str, bool], IssueRule]
@@ -621,8 +622,6 @@ def _rel_ack_effect(ctx: DeliveryContext, fields: Mapping[str, Any]) -> None:
 # --- shared atomics ---------------------------------------------------------
 def _atomic_effect(ctx: DeliveryContext, fields: Mapping[str, Any]) -> None:
     meta = fields.get("meta")
-    if meta is None:                     # timed wire name for the same field
-        meta = fields.get("cord_meta")
     if meta is not None:                 # CORD Relaxed RMW carries metadata
         ctx.dir_state.on_relaxed(meta)
     ctx.perform_atomic(fields)
@@ -705,13 +704,20 @@ def _seq_flush_guard(ctx: DeliveryContext, fields: Mapping[str, Any]) -> bool:
 
 def _seq_flush_effect(ctx: DeliveryContext,
                       fields: Mapping[str, Any]) -> None:
-    ctx.send_core("seq_flush_ack", {})
+    ctx.send_core("seq_flush_ack", {"upto": fields["upto"]})
 
 
 def _seq_flush_ack_effect(ctx: DeliveryContext,
                           fields: Mapping[str, Any]) -> None:
-    ctx.core.seq_watermark = ctx.core.seq_next
-    ctx.wake()
+    """Every sequence number below the echoed ``upto`` has committed
+    machine-wide.  A flush asks every directory the core has sent to and
+    finishes on the first ack, so acks of an older flush (and the current
+    flush's later duplicates) still arrive; their ``upto`` is already
+    covered by the watermark and they change nothing."""
+    core = ctx.core
+    if fields["upto"] > core.seq_watermark:
+        core.seq_watermark = fields["upto"]
+        ctx.wake()
 
 
 def _sequenced_atomic_guard(ctx: DeliveryContext,
@@ -1070,6 +1076,19 @@ WB_SPEC = ProtocolSpec(
 )
 
 
+#: A flush ack names its flush with an 8-bit tag.  A core has one flush
+#: outstanding at a time, so the tag tells the current flush's ack from a
+#: late one, and 8 bits fit the header's reserved bits
+#: (``MessageSizeConfig.reserved_bits``): the ack costs no extra bytes.
+#: The simulator carries the flush's full ``upto``; the tag stands for it
+#: as long as no ack arrives 256 or more flushes late.
+SEQ_FLUSH_TAG_BITS = 8
+
+
+def _seq_flush_tag_bits(cord: Any) -> int:
+    return SEQ_FLUSH_TAG_BITS
+
+
 def _make_seq_spec(bits: int) -> ProtocolSpec:
     seq_guard = _make_seq_guard(bits)
     seq_timed_guard = _make_seq_timed_guard(bits)
@@ -1090,7 +1109,7 @@ def _make_seq_spec(bits: int) -> ProtocolSpec:
                 consumer="directory", bits=seq_bits_fn, timed_only=True),
             "seq_flush_ack": MessageSpec(
                 name="seq_flush_ack", fifo=FifoClass.NONE, control=True,
-                consumer="core", timed_only=True),
+                consumer="core", bits=_seq_flush_tag_bits, timed_only=True),
             **_ATOMIC_MESSAGES,
             # A sequenced (Release) RMW carries its sequence number on
             # the wire, as seq_store does; a relaxed one carries none.

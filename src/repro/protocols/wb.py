@@ -179,7 +179,7 @@ class WbCorePort(CorePort):
                 "addr": op.addr,
                 "value": op.value,
                 "size": op.size,
-                "proc": self.core.core_id,
+                "core": self.core.core_id,
                 "program_index": program_index,
                 "ordering": op.ordering,
             },

@@ -10,11 +10,13 @@ Four concerns:
 * **Lowering** — shipped rules get the expected guard/action/delivery
   opcodes, interned message ids, and emit templates.
 * **Caching** — compiled protocols are cached per name and recompiled
-  when the spec object changes.
-* **Differential** — ``REPRO_INTERPRETED_TABLES=1`` routes the same
-  compiled tables through the original closures; both dispatch modes
-  must produce byte-identical ``final_state_hash`` for every protocol,
-  and cache under distinct keys.
+  when the spec object changes; timed classes are built once per spec
+  object, so two specs sharing a name never share classes.
+* **Differential** — each protocol runs once on its shipped table (rows
+  bound to the families' fast paths) and once on a test-local copy whose
+  closures are wrapped, so every row lowers to its ``*_CALL`` opcode and
+  runs through the closures; both must produce byte-identical
+  ``final_state_hash``.
 """
 
 import dataclasses
@@ -23,14 +25,17 @@ import pytest
 
 from repro.config import CXL
 from repro.harness import RunSpec
-from repro.harness.executor import _execute_spec, code_version
+from repro.harness.executor import _execute_spec
 from repro.harness.experiments import default_config
+from repro.protocols import spec as spec_module
 from repro.protocols.compile import (
+    A_CALL,
     A_CORD_RELAXED,
     A_CORD_RELEASE,
     A_MP_POSTED,
     A_SEQ_STORE,
     A_SO_STORE,
+    D_CALL,
     D_NOTIFY,
     D_POSTED,
     D_REL_ACK,
@@ -42,6 +47,7 @@ from repro.protocols.compile import (
     D_WT_REL,
     D_WT_RLX,
     D_WT_STORE,
+    G_CALL,
     G_CORD_RELAXED,
     G_CORD_RELEASE,
     G_SEQ_WINDOW,
@@ -49,8 +55,19 @@ from repro.protocols.compile import (
     G_TRUE,
     compile_spec,
 )
+from repro.protocols.factory import protocol_classes
 from repro.protocols.spec import LintError, get_spec, lint_spec
-from repro.protocols.table import INTERPRETED_ENV
+from repro.protocols.table import (
+    CordCorePort,
+    CordDirectory,
+    SeqCorePort,
+    SeqDirectory,
+    SoCorePort,
+    SoDirectory,
+    TardisCorePort,
+    TardisDirectory,
+    make_table_protocol,
+)
 from repro.workloads.micro import MicroSpec
 from repro.workloads.table2 import APPLICATIONS
 
@@ -212,8 +229,43 @@ class TestCache:
         assert compile_spec(spec).spec is spec
 
 
+class TestClassCache:
+    def test_same_name_other_spec_gets_its_own_classes(self):
+        shipped = get_spec("cord")
+        variant = dataclasses.replace(
+            shipped, retry_order=("wt_rel", "req_notify"))
+        port_cls, dir_cls = make_table_protocol(variant)
+        assert port_cls.SPEC is variant
+        assert dir_cls.SPEC is variant
+        shipped_port, shipped_dir = make_table_protocol(shipped)
+        assert shipped_port.SPEC is shipped
+        assert shipped_dir.SPEC is shipped
+        # Built once per spec object.
+        assert make_table_protocol(variant) == (port_cls, dir_cls)
+        assert make_table_protocol(shipped) == (shipped_port, shipped_dir)
+
+    @pytest.mark.parametrize("name,port_family,dir_family", [
+        ("so", SoCorePort, SoDirectory),
+        ("mp", SoCorePort, SoDirectory),
+        ("cord", CordCorePort, CordDirectory),
+        ("cord-nonotify", CordCorePort, CordDirectory),
+        ("seq2", SeqCorePort, SeqDirectory),
+        ("tardis", TardisCorePort, TardisDirectory),
+    ])
+    def test_core_state_picks_the_family(self, name, port_family,
+                                         dir_family):
+        port_cls, dir_cls = make_table_protocol(get_spec(name))
+        assert issubclass(port_cls, port_family)
+        assert issubclass(dir_cls, dir_family)
+
+    def test_unknown_core_state_is_refused(self):
+        odd = dataclasses.replace(get_spec("so"), core_state="mesi")
+        with pytest.raises(ValueError, match="core_state"):
+            make_table_protocol(odd)
+
+
 # ---------------------------------------------------------------------------
-# Compiled-vs-interpreted timed differential
+# Shipped-table vs closures-only timed differential
 # ---------------------------------------------------------------------------
 MICRO = MicroSpec(store_granularity=64, sync_granularity=4096, fanout=2,
                   total_bytes=32 * 1024)
@@ -230,29 +282,62 @@ def _point(protocol):
                    experiment="compile-differential")
 
 
+def _closures_only(spec):
+    """A copy of ``spec`` whose guards and effects are wrappers around the
+    shipped closures.  The compiler recognises none of them, so every row
+    lowers to its ``*_CALL`` opcode and the interpreter runs it through
+    the closures.  One wrapper per closure keeps shared guards shared."""
+    if not spec.rules_complete:
+        return dataclasses.replace(spec)
+    wrappers = {}
+
+    def wrap(fn):
+        if fn is None:
+            return None
+        if fn not in wrappers:
+            def call(*args, **kwargs):
+                return fn(*args, **kwargs)
+            wrappers[fn] = call
+        return wrappers[fn]
+
+    issue = {
+        key: dataclasses.replace(
+            rule, guard=wrap(rule.guard), effects=wrap(rule.effects),
+            timed_guard=wrap(rule.timed_guard),
+            escape_guard=wrap(rule.escape_guard))
+        for key, rule in spec.issue.items()
+    }
+    delivery = {
+        name: dataclasses.replace(rule, guard=wrap(rule.guard),
+                                  effects=wrap(rule.effects))
+        for name, rule in spec.delivery.items()
+    }
+    return dataclasses.replace(spec, issue=issue, delivery=delivery)
+
+
 class TestCompiledInterpretedDifferential:
-    """Same tables, opposite dispatch: the int-coded fast paths and the
-    original closures must time out to byte-identical final states."""
+    """Same tables, opposite dispatch: the families' fast paths (the
+    compiled opcodes) and the original closures (a copy whose every row
+    is interpreted) must time out to byte-identical final states."""
 
     @pytest.mark.parametrize(
         "protocol",
-        ["so", "cord", "cord-nonotify", "seq8", "mp", "wb", "tardis"])
+        ["so", "cord", "cord-nonotify", "seq2", "seq8", "mp", "wb",
+         "tardis"])
     def test_final_state_hash_matches(self, protocol, monkeypatch):
         spec = _point(protocol)
-        monkeypatch.delenv(INTERPRETED_ENV, raising=False)
-        compiled = _execute_spec(spec).final_state_hash
-        monkeypatch.setenv(INTERPRETED_ENV, "1")
-        interpreted = _execute_spec(spec).final_state_hash
-        assert compiled == interpreted, (
-            f"{protocol}: compiled dispatch diverged from the "
-            f"interpreted closures")
-
-
-class TestCacheKey:
-    def test_interpreted_toggle_changes_code_version(self, monkeypatch):
-        # Same sources, same tables, different dispatch: cached records
-        # must not alias.
-        monkeypatch.delenv(INTERPRETED_ENV, raising=False)
-        compiled_version = code_version()
-        monkeypatch.setenv(INTERPRETED_ENV, "1")
-        assert code_version() != compiled_version
+        shipped = get_spec(protocol)
+        fast = _execute_spec(spec).final_state_hash
+        closures = _closures_only(shipped)
+        monkeypatch.setitem(spec_module._SPECS, protocol, closures)
+        if closures.rules_complete:
+            compiled = compile_spec(closures)
+            assert all(row.guard_op == G_CALL and row.action_op == A_CALL
+                       for row in compiled.issue.values())
+            assert all(row.op == D_CALL
+                       for row in (*compiled.dir_wire.values(),
+                                   *compiled.core_wire.values()))
+            assert protocol_classes(protocol)[0].SPEC is closures
+        slow = _execute_spec(spec).final_state_hash
+        assert fast == slow, (
+            f"{protocol}: the fast paths diverged from the closures")

@@ -3,7 +3,13 @@
 import pytest
 
 from repro import Machine, Ordering, ProgramBuilder
-from repro.protocols.table import table_protocol_classes
+from repro.config import CXL, CordConfig, MessageSizeConfig
+from repro.harness import RunSpec
+from repro.harness.executor import _execute_spec
+from repro.harness.experiments import default_config
+from repro.protocols.spec import get_spec
+from repro.protocols.table import SeqCorePort, table_protocol_classes
+from repro.workloads.table2 import APPLICATIONS
 from tests.protocols.conftest import producer_consumer
 
 
@@ -101,7 +107,7 @@ class TestReleaseRmw:
 class TestFactory:
     def test_make_seq_protocol_sets_bits(self):
         port_cls, _ = table_protocol_classes("seq12")
-        assert port_cls.SEQ_BITS == 12
+        assert port_cls.SPEC.seq_bits == 12
 
     def test_invalid_bits_rejected(self):
         from repro.protocols import protocol_classes
@@ -109,3 +115,48 @@ class TestFactory:
             protocol_classes("seq0")
         with pytest.raises(ValueError):
             protocol_classes("seq999")
+
+
+class TestStaleFlushAck:
+    """A flush asks every directory the core has sent to and finishes on
+    the first ack.  The ack echoes its flush's ``upto``, so a late ack of
+    an earlier flush cannot finish a later one before that flush's stores
+    commit (it used to: 136 of seq2's 244 flushes on CR finished early)."""
+
+    @staticmethod
+    def _app(protocol, app):
+        return _execute_spec(RunSpec(
+            kind="app", protocol=protocol, workload=APPLICATIONS[app],
+            config=default_config(CXL), seed=0,
+            experiment="seq-flush-ack"))
+
+    def test_no_flush_finishes_before_its_stores_commit(self, monkeypatch):
+        finished, early = [], []
+        flush = SeqCorePort._flush
+
+        def checked(port, cause):
+            upto = port.seq_next
+            yield from flush(port, cause)
+            finished.append(upto)
+            if port.machine.seq_board().count(port.core.core_id) < upto:
+                early.append((port.core.core_id, upto))
+
+        monkeypatch.setattr(SeqCorePort, "_flush", checked)
+        self._app("seq2", "CR")
+        assert finished
+        assert early == []
+
+    def test_smaller_window_is_not_faster(self):
+        # With early finishes seq2 quiesced BigFFT in 20,662 ns against
+        # seq4's 38,431 ns: a smaller window flushed more and ran faster.
+        seq2 = self._app("seq2", "BigFFT").quiesce_ns
+        seq4 = self._app("seq4", "BigFFT").quiesce_ns
+        assert seq2 >= seq4
+
+    def test_ack_rides_in_the_reserved_header_bits(self):
+        sizes = MessageSizeConfig()
+        for name in ("seq2", "seq40"):
+            ack = get_spec(name).messages["seq_flush_ack"]
+            bits = ack.bit_width(CordConfig())
+            assert 0 < bits <= sizes.reserved_bits
+            assert sizes.control_bytes(bits) == sizes.control_bytes()

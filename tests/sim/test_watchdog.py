@@ -151,7 +151,7 @@ class TestMachineDiagnostics:
         config = SystemConfig().scaled(hosts=2)
         machine = Machine(config, protocol=protocol)
         directory = machine.directories[0]
-        payload = {"addr": 0, "value": 1, "size": 8, "proc": 0,
+        payload = {"addr": 0, "value": 1, "size": 8, "core": 0,
                    "program_index": 0, "ordering": Ordering.RELEASE,
                    "seq": 3, "ordered": True}
         if protocol == "cord":

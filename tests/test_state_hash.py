@@ -87,7 +87,7 @@ MICRO_BASKET = [
      RunSpec(kind="micro", protocol=protocol, workload=MICRO,
              config=default_config(CXL), seed=0,
              experiment="hash-basket"))
-    for protocol in ("seq8", "seq40", "cord-nonotify")
+    for protocol in ("seq2", "seq8", "seq40", "cord-nonotify")
 ]
 
 #: Open-loop point: Poisson arrivals on a two-pod fabric drive the polling
