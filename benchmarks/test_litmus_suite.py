@@ -7,18 +7,20 @@ and deadlock freedom.  This sweep runs our equivalent suite exhaustively.
 """
 
 from benchmarks.conftest import run_once
-from repro.litmus import full_suite, run_suite
+from repro.harness.modelcheck import make_specs
+from repro.litmus import full_suite
 from repro.litmus.dsl import LitmusTest, ld, poll_acq, st, st_rel
 from repro.litmus.model_checker import ModelChecker
 
 
-def test_full_litmus_suite(benchmark):
-    cases = full_suite()
-    report = run_once(benchmark, run_suite, cases)
-    print(f"\n== §4.5: litmus sweep — {report.total} checker runs, "
-          f"{report.states_total} states explored ==")
-    assert report.total >= 180
-    assert report.passed, report.failed
+def test_full_litmus_suite(benchmark, shared_executor):
+    specs = make_specs(full_suite())
+    records = run_once(benchmark, shared_executor.map, specs)
+    states = sum(record.states_explored for record in records)
+    print(f"\n== §4.5: litmus sweep — {len(records)} checker runs, "
+          f"{states} states explored ==")
+    assert len(records) >= 180
+    assert [r.workload for r in records if not r.passed] == []
 
 
 def test_isa2_mp_violation(benchmark):

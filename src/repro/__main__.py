@@ -11,9 +11,11 @@ Usage::
     python -m repro fig12           # ATA storage breakdown
     python -m repro fig13           # TSO mode
     python -m repro table3          # area/power
-    python -m repro litmus          # full model-checking sweep (§4.5)
-    python -m repro modelcheck      # same sweep via the executor: cached,
-                                    # parallel (--jobs), per-case verdicts
+    python -m repro litmus          # full model-checking sweep (§4.5):
+                                    # cached, parallel (--jobs), per-case
+                                    # verdicts; exits 1 on any failure
+    python -m repro modelcheck      # the same sweep over a chosen suite,
+                                    # with the checker's own options
     python -m repro breakdown CR    # per-message-type traffic for one
                                     # Table-2 app (default CR)
     python -m repro energy CR       # §5.4 energy comparison for one app
@@ -47,8 +49,6 @@ Modelcheck options (``modelcheck`` only; see ``repro.harness.modelcheck``):
     --max-states N    per-case exploration budget (default: 500000)
     --no-por          disable the partial-order reduction
     --no-symmetry     disable symmetry reduction (orbit canonicalization)
-    --parallel N      shard each case's frontier across N worker
-                      processes (forces --jobs 1; partitioned visited set)
     --visited-db DIR  spill per-case visited sets to SQLite files in DIR
                       once they outgrow RAM
     --spill-threshold N   in-RAM visited entries before spilling
@@ -98,21 +98,23 @@ from repro.workloads import APPLICATIONS
 _PANELS = ("store", "sync", "fanout")
 
 
-def _run_litmus(executor: Optional[Executor] = None) -> None:
-    if executor is not None and executor.faults is not None:
-        if _run_fault_litmus(executor.faults):
-            raise SystemExit(1)
-        return
-    from repro.litmus import full_suite, run_suite
-    report = run_suite(full_suite())
-    status = "ALL PASSED" if report.passed else f"FAILED: {report.failed}"
-    print(f"litmus sweep: {report.total} checker runs, "
-          f"{report.states_total} states explored — {status}")
+def _run_litmus(executor: Executor) -> None:
+    """Model-check the full suite through ``executor`` (with ``--faults``,
+    run the timed fault sweep instead); exit 1 when any case fails."""
+    if executor.faults is not None:
+        passed = _run_fault_litmus(executor.faults)
+    else:
+        from repro.harness.modelcheck import check_suite, make_specs
+        from repro.litmus import full_suite
+        passed = check_suite(make_specs(full_suite()), executor,
+                             "litmus sweep")
+    if not passed:
+        raise SystemExit(1)
 
 
-def _run_fault_litmus(faults) -> int:
+def _run_fault_litmus(faults) -> bool:
     from repro.litmus import fault_sweep
-    failed = False
+    passed = True
     for protocol in ("cord", "so", "mp", "tardis"):
         report = fault_sweep(protocol=protocol, faults=faults)
         status = "PASSED" if report.passed else "FAILED"
@@ -125,8 +127,8 @@ def _run_fault_litmus(faults) -> int:
             print(f"  RC violation in {name}: {violation}")
         for diagnostic in report.deadlocks:
             print(f"  {diagnostic}")
-        failed = failed or not report.passed
-    return 1 if failed else 0
+        passed = passed and report.passed
+    return passed
 
 
 def _parse_executor_flags(

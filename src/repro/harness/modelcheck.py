@@ -12,6 +12,10 @@ sweeps get the same infrastructure as the figure experiments:
   pass/fail, outcome sets, forbidden outcomes reached, RC-violation and
   deadlock counts, the first-deadlock witness and the exploration stats
   (states/sec, visited-set hit rate, peak frontier).
+* :func:`check_suite` — runs a list of specs through an executor and
+  prints each failing case's reasons plus one summary line; both
+  ``python -m repro litmus`` and ``python -m repro modelcheck`` report
+  through it.
 * ``python -m repro modelcheck`` — the CLI sweep over the curated/classic/
   custom/full suites with ``--jobs`` fan-out and cache reuse
   (:func:`run_modelcheck_cli`).
@@ -20,14 +24,14 @@ The cache key includes the repo-wide code version, so editing the model
 checker or any protocol state machine invalidates cached verdicts; an
 unchanged tree re-verifies the whole suite from cache in milliseconds.
 
-Execution-environment knobs — ``--parallel N`` worker processes per case,
-``--visited-db DIR`` / ``--spill-threshold N`` for the disk-backed visited
-set — deliberately stay *out* of :class:`CheckSpec` (they are plumbed via
-``REPRO_MODELCHECK_PARALLEL`` / ``REPRO_MODELCHECK_VISITED_DB`` /
-``REPRO_MODELCHECK_SPILL``): the verdict artifact is identical however the
-exploration was scheduled, so a suite checked serially is a warm cache for
-the same suite re-run with ``--parallel 4`` and vice versa.  ``--symmetry``
-is a :class:`CheckSpec` field — it changes the search, and flipping it is
+Storage knobs — ``--visited-db DIR`` / ``--spill-threshold N`` for the
+disk-backed visited set — deliberately stay *out* of :class:`CheckSpec`
+(they are plumbed via ``REPRO_MODELCHECK_VISITED_DB`` /
+``REPRO_MODELCHECK_SPILL``): the verdict artifact is identical wherever the
+visited set lived, so a suite checked in memory is a warm cache for the
+same suite re-run with a spilling visited set and vice versa.  Multi-core
+sweeps fan cases out with the executor's ``--jobs``.  ``--symmetry`` is a
+:class:`CheckSpec` field — it changes the search, and flipping it is
 exactly what the soundness differential wants to re-explore.
 """
 
@@ -50,6 +54,7 @@ __all__ = [
     "CheckRecord",
     "suite_cases",
     "make_specs",
+    "check_suite",
     "run_modelcheck_cli",
 ]
 
@@ -174,16 +179,14 @@ def _execute_check(spec: CheckSpec,
     so a budget-exhausted case records ``complete=False`` (and fails)
     instead of aborting the rest of the sweep.
 
-    Scheduling knobs come from the environment, not the spec, so they
-    never perturb the cache key (see the module docstring):
-    ``REPRO_MODELCHECK_PARALLEL`` (worker processes per case),
+    Storage knobs come from the environment, not the spec, so they never
+    perturb the cache key (see the module docstring):
     ``REPRO_MODELCHECK_VISITED_DB`` (directory for per-case spillable
     visited sets) and ``REPRO_MODELCHECK_SPILL`` (spill threshold).
     """
     from repro.litmus.model_checker import ModelChecker
 
     key = spec_key(spec)
-    parallel = int(os.environ.get("REPRO_MODELCHECK_PARALLEL") or 1)
     visited_dir = os.environ.get("REPRO_MODELCHECK_VISITED_DB") or None
     visited_db = (os.path.join(visited_dir, key + ".visited.sqlite")
                   if visited_dir else None)
@@ -199,7 +202,6 @@ def _execute_check(spec: CheckSpec,
         max_states=spec.max_states,
         por=spec.por,
         symmetry=spec.symmetry,
-        parallel=parallel,
         visited_db=visited_db,
         spill_threshold=spill_threshold,
         partial=True,
@@ -299,6 +301,38 @@ def make_specs(cases: List[CaseSpec], max_states: int = 500_000,
     ]
 
 
+def check_suite(specs: List[CheckSpec], executor: Executor,
+                label: str) -> bool:
+    """Check every spec through ``executor``; True when all pass.
+
+    Prints each failing case with its :meth:`CheckRecord.failure_lines`,
+    then one summary line headed ``label``: cases, states explored, cache
+    hits and misses, wall time, the cold states/second rate and the
+    verdict.
+    """
+    started = time.perf_counter()
+    records = executor.map(specs)
+    wall = time.perf_counter() - started
+
+    failed = [r for r in records if not r.passed]
+    for record in failed:
+        print(f"FAILED {record.workload}")
+        for line in record.failure_lines():
+            print(f"  {line}")
+
+    states = sum(r.states_explored for r in records)
+    explored_wall = sum(r.stats.get("wall_s", 0.0)
+                        for r in records if not r.cached)
+    rate = states / explored_wall if explored_wall > 0 else 0.0
+    status = "ALL PASSED" if not failed else f"{len(failed)} FAILED"
+    print(f"{label}: {len(records)} cases, {states} states "
+          f"explored, {executor.hits} cached / {executor.misses} run "
+          f"in {wall:.2f}s"
+          + (f" ({rate:,.0f} states/s explored)" if rate else "")
+          + f" — {status}")
+    return not failed
+
+
 # ---------------------------------------------------------------------------
 # CLI (python -m repro modelcheck)
 # ---------------------------------------------------------------------------
@@ -307,8 +341,7 @@ def run_modelcheck_cli(argv: List[str]) -> int:
 
     SUITE is ``quick``, ``classic``, ``custom``, ``generated`` or ``full``
     (default).  Options: ``--max-states N``, ``--no-por``,
-    ``--no-symmetry``, ``--parallel N`` (worker processes *per case*;
-    forces ``--jobs 1``), ``--visited-db DIR`` / ``--spill-threshold N``
+    ``--no-symmetry``, ``--visited-db DIR`` / ``--spill-threshold N``
     (disk-backed visited sets), the ``generated``-suite shape flags
     ``--gen-count/--gen-seed/--gen-threads/--gen-locs/--gen-values/
     --gen-ops/--gen-atomics``, and the executor flags ``--jobs N``,
@@ -321,7 +354,6 @@ def run_modelcheck_cli(argv: List[str]) -> int:
     max_states = 500_000
     por = True
     symmetry = True
-    parallel = 1
     visited_db: Optional[str] = None
     spill_threshold: Optional[int] = None
     jobs = 1
@@ -331,9 +363,9 @@ def run_modelcheck_cli(argv: List[str]) -> int:
     gen_threads, gen_locs, gen_values, gen_ops = 2, 2, 2, 3
     gen_atomics = False
 
-    int_flags = {"--max-states", "--jobs", "--parallel", "--spill-threshold",
-                 "--gen-count", "--gen-threads", "--gen-locs", "--gen-values",
-                 "--gen-ops", "--gen-seed"}
+    int_flags = {"--max-states", "--jobs", "--spill-threshold", "--gen-count",
+                 "--gen-threads", "--gen-locs", "--gen-values", "--gen-ops",
+                 "--gen-seed"}
     value_flags = int_flags | {"--cache-dir", "--run-log", "--visited-db"}
 
     index = 0
@@ -364,8 +396,6 @@ def run_modelcheck_cli(argv: List[str]) -> int:
                     max_states = number
                 elif arg == "--jobs":
                     jobs = number
-                elif arg == "--parallel":
-                    parallel = number
                 elif arg == "--spill-threshold":
                     spill_threshold = number
                 elif arg == "--gen-count":
@@ -391,7 +421,7 @@ def run_modelcheck_cli(argv: List[str]) -> int:
         elif arg.startswith("-"):
             print(f"unknown modelcheck option {arg!r}; supported: SUITE "
                   "--max-states N --no-por --symmetry/--no-symmetry "
-                  "--parallel N --visited-db DIR --spill-threshold N "
+                  "--visited-db DIR --spill-threshold N "
                   "--gen-count/--gen-seed/--gen-threads/--gen-locs/"
                   "--gen-values/--gen-ops N --gen-atomics --jobs N "
                   "--cache-dir PATH --no-cache --run-log PATH")
@@ -399,10 +429,6 @@ def run_modelcheck_cli(argv: List[str]) -> int:
         else:
             suite = arg
         index += 1
-
-    if parallel > 1 and jobs > 1:
-        print("--parallel shards each case across processes; forcing --jobs 1")
-        jobs = 1
 
     gen_params = None
     if suite == "generated":
@@ -421,7 +447,6 @@ def run_modelcheck_cli(argv: List[str]) -> int:
     executor = Executor(jobs=jobs, cache_dir=cache_dir, run_log=run_log)
 
     env_overrides = {
-        "REPRO_MODELCHECK_PARALLEL": str(parallel) if parallel > 1 else None,
         "REPRO_MODELCHECK_VISITED_DB": visited_db,
         "REPRO_MODELCHECK_SPILL": (str(spill_threshold)
                                    if spill_threshold is not None else None),
@@ -432,31 +457,12 @@ def run_modelcheck_cli(argv: List[str]) -> int:
             os.environ.pop(name, None)
         else:
             os.environ[name] = value
-    started = time.perf_counter()
     try:
-        records = executor.map(specs)
+        passed = check_suite(specs, executor, f"modelcheck[{suite}]")
     finally:
         for name, value in saved.items():
             if value is None:
                 os.environ.pop(name, None)
             else:
                 os.environ[name] = value
-    wall = time.perf_counter() - started
-
-    failed = [r for r in records if not r.passed]
-    for record in failed:
-        print(f"FAILED {record.workload}")
-        for line in record.failure_lines():
-            print(f"  {line}")
-
-    states = sum(r.states_explored for r in records)
-    explored_wall = sum(r.stats.get("wall_s", 0.0)
-                        for r in records if not r.cached)
-    rate = states / explored_wall if explored_wall > 0 else 0.0
-    status = "ALL PASSED" if not failed else f"{len(failed)} FAILED"
-    print(f"modelcheck[{suite}]: {len(records)} cases, {states} states "
-          f"explored, {executor.hits} cached / {executor.misses} run "
-          f"in {wall:.2f}s"
-          + (f" ({rate:,.0f} states/s explored)" if rate else "")
-          + f" — {status}")
-    return 1 if failed else 0
+    return 0 if passed else 1

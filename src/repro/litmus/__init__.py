@@ -46,11 +46,9 @@ from repro.litmus.runner import (
 )
 from repro.litmus.suite import (
     CaseSpec,
-    SuiteReport,
     classic_tests,
     custom_tests,
     full_suite,
-    run_suite,
 )
 
 __all__ = [
@@ -80,10 +78,7 @@ __all__ = [
     "SqliteVisitedSet",
     "make_visited",
     "classic_tests",
-
     "custom_tests",
     "full_suite",
-    "run_suite",
     "CaseSpec",
-    "SuiteReport",
 ]

@@ -64,7 +64,7 @@ import enum
 import hashlib
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.config import CordConfig, SystemConfig
 from repro.consistency.checker import Violation, check_rc
@@ -769,9 +769,6 @@ class ModelChecker:
         orbit-expanded, so verdicts and outcome sets match the
         unreduced exploration exactly.  Tests with a trivial group pay
         nothing.
-    parallel:
-        Shard the frontier across this many worker processes
-        (:mod:`repro.litmus.parallel`); 1 explores serially in-process.
     visited_db:
         Path for a disk-backed visited set: exploration starts in RAM
         and spills to SQLite at ``spill_threshold`` entries, bounding
@@ -801,7 +798,6 @@ class ModelChecker:
         por: bool = True,
         stats: Optional[StatRegistry] = None,
         symmetry: bool = True,
-        parallel: int = 1,
         visited_db: Optional[str] = None,
         spill_threshold: Optional[int] = None,
     ) -> None:
@@ -822,7 +818,6 @@ class ModelChecker:
         self.por = por
         self.stats = stats
         self.symmetry = symmetry
-        self.parallel = max(1, int(parallel))
         self.visited_db = visited_db
         self.spill_threshold = spill_threshold
         self.address_map = AddressMap(self.config)
@@ -865,13 +860,6 @@ class ModelChecker:
             find_automorphisms(self) if symmetry else []
         )
         self._sym_canon = 0
-        # Everything a worker process needs to rebuild an equivalent
-        # (serial, in-memory) checker for frontier sharding.
-        self._ctor = dict(
-            test=test, protocol=protocol, config=self.config,
-            cord_config=self.cord_config, tso=tso, sc=sc,
-            max_states=max_states, partial=True, por=por, symmetry=symmetry,
-        )
 
     # ------------------------------------------------------------------
     # State construction
@@ -1491,12 +1479,6 @@ class ModelChecker:
 
     def run(self) -> CheckResult:
         """Exhaustively explore; returns all distinct final outcomes."""
-        if self.parallel > 1:
-            from repro.litmus.parallel import run_parallel
-            return run_parallel(self)
-        return self._run_serial()
-
-    def _run_serial(self) -> CheckResult:
         started = time.perf_counter()
         self._sym_canon = 0
         visited = make_visited(self.visited_db, self.spill_threshold)
@@ -1579,7 +1561,14 @@ class ModelChecker:
             stats=run_stats,
             elapsed_s=elapsed,
         )
-        return self._finish(result)
+        if not complete and not self.partial:
+            raise ModelCheckError(
+                "{}: exceeded {} states ({} finals, {} deadlocks so far)"
+                .format(self.test.name, self.max_states, len(result.finals),
+                        result.deadlocks),
+                partial_result=result,
+            )
+        return result
 
     def _accumulate_registry(self, run_stats: Dict[str, float]) -> None:
         if self.stats is None:
@@ -1596,16 +1585,3 @@ class ModelChecker:
         self.stats.counter("modelcheck.wall_s").add(run_stats["wall_s"])
         self.stats.max_tracker("modelcheck.frontier").set(
             run_stats["peak_frontier"])
-        if "parallel_rounds" in run_stats:
-            self.stats.counter("modelcheck.parallel_rounds").add(
-                run_stats["parallel_rounds"])
-
-    def _finish(self, result: CheckResult) -> CheckResult:
-        if not result.complete and not self.partial:
-            raise ModelCheckError(
-                "{}: exceeded {} states ({} finals, {} deadlocks so far)"
-                .format(self.test.name, self.max_states, len(result.finals),
-                        result.deadlocks),
-                partial_result=result,
-            )
-        return result

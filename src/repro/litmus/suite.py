@@ -11,14 +11,14 @@ Two collections mirror the paper's methodology:
   under-provisioned look-up tables, and epoch/store-counter overflow.
 
 Every test is checked exhaustively by
-:class:`~repro.litmus.model_checker.ModelChecker`; :func:`run_suite` sweeps a
-whole collection and aggregates pass/fail.
+:class:`~repro.litmus.model_checker.ModelChecker`; whole collections are
+swept through the harness executor (:mod:`repro.harness.modelcheck`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Tuple
 
 from repro.config import CordConfig
 from repro.litmus.dsl import (
@@ -33,15 +33,12 @@ from repro.litmus.dsl import (
     st_rel,
     st_so,
 )
-from repro.litmus.model_checker import CheckResult, ModelChecker
 
 __all__ = [
     "CaseSpec",
     "classic_tests",
     "custom_tests",
     "full_suite",
-    "run_suite",
-    "SuiteReport",
 ]
 
 
@@ -408,52 +405,3 @@ def full_suite() -> List[CaseSpec]:
             cases.append(CaseSpec(test=test, protocol=protocol))
     cases.extend(custom_tests())
     return cases
-
-
-@dataclass
-class SuiteReport:
-    """Aggregated results of a suite sweep."""
-
-    results: List[CheckResult] = field(default_factory=list)
-    names: List[str] = field(default_factory=list)
-
-    @property
-    def total(self) -> int:
-        return len(self.results)
-
-    @property
-    def failed(self) -> List[str]:
-        failed = []
-        for name, result in zip(self.names, self.results):
-            if not result.passed:
-                failed.append(name)
-                continue
-            for pattern in result.test.required:
-                if not result.reaches(pattern):
-                    failed.append(name + " (required outcome unreachable)")
-                    break
-        return failed
-
-    @property
-    def passed(self) -> bool:
-        return not self.failed
-
-    @property
-    def states_total(self) -> int:
-        return sum(r.states_explored for r in self.results)
-
-
-def run_suite(cases: Sequence[CaseSpec], max_states: int = 500_000) -> SuiteReport:
-    """Model-check every case; returns the aggregated report."""
-    report = SuiteReport()
-    for case in cases:
-        checker = ModelChecker(
-            case.test,
-            protocol=case.protocol,
-            cord_config=case.cord_config,
-            tso=case.tso,
-            max_states=max_states,
-        )
-        report.results.append(checker.run())
-        report.names.append(case.name)
-    return report

@@ -127,6 +127,23 @@ class TestCacheAndParallel:
         assert ([verdict_dict(r) for r in serial]
                 == [verdict_dict(r) for r in pooled])
 
+    def test_visited_db_setting_reuses_cache(self, tmp_path, monkeypatch):
+        """Storage knobs stay out of the spec key: a case checked in memory
+        is a warm cache for the same case with a disk-backed visited set."""
+        specs = [check_spec(ISA2)]
+        cold = Executor(jobs=1, cache_dir=tmp_path / "cache")
+        records = cold.map(specs)
+        assert cold.misses == 1 and not records[0].cached
+
+        monkeypatch.setenv("REPRO_MODELCHECK_VISITED_DB",
+                           str(tmp_path / "visited"))
+        monkeypatch.setenv("REPRO_MODELCHECK_SPILL", "3")
+        warm = Executor(jobs=1, cache_dir=tmp_path / "cache")
+        reused = warm.map(specs)
+        assert (warm.hits, warm.misses) == (1, 0)
+        assert reused[0].cached
+        assert reused[0].states_explored == records[0].states_explored
+
 
 class TestSuites:
     def test_quick_suite_is_curated_subset(self):

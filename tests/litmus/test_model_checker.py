@@ -1,5 +1,7 @@
 """Tests for the explicit-state model checker (§4.5)."""
 
+import typing
+
 import pytest
 
 from repro.config import CordConfig
@@ -12,6 +14,7 @@ from repro.litmus import (
     st_rel,
     st_so,
 )
+from repro.litmus.model_checker import _State
 
 ISA2 = LitmusTest(
     name="ISA2",
@@ -213,3 +216,10 @@ class TestWeakOutcomesReachable:
         result = ModelChecker(test, protocol="cord").run()
         assert result.reaches({"P1:r1": 1, "P1:r2": 0})
         assert result.reaches({"P1:r1": 1, "P1:r2": 1})
+
+
+class TestAnnotations:
+    def test_state_type_hints_resolve(self):
+        # Every name the state record's annotations use is imported.
+        hints = typing.get_type_hints(_State)
+        assert hints["_owned_cores"] == typing.Set[int]

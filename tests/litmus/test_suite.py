@@ -1,8 +1,17 @@
 """Tests for the litmus suites (fast subsets; the full sweep is a bench)."""
 
-import pytest
+from repro.harness.executor import Executor
+from repro.harness.modelcheck import make_specs
+from repro.litmus import CaseSpec, classic_tests, custom_tests
 
-from repro.litmus import CaseSpec, classic_tests, custom_tests, run_suite
+
+def check(cases):
+    """Model-check ``cases`` the way the CLI sweeps do, uncached."""
+    return Executor(jobs=1, cache_dir=None).map(make_specs(cases))
+
+
+def failures(records):
+    return [record.workload for record in records if not record.passed]
 
 
 class TestSuiteConstruction:
@@ -36,25 +45,22 @@ class TestSubsetSweeps:
             CaseSpec(test=t, protocol="cord")
             for t in classic_tests() if t.name.endswith(".split")
         ]
-        report = run_suite(subset)
-        assert report.passed, report.failed
+        assert failures(check(subset)) == []
 
     def test_spread_placement_classics_pass_under_so(self):
         subset = [
             CaseSpec(test=t, protocol="so")
             for t in classic_tests() if t.name.endswith(".spread")
         ]
-        report = run_suite(subset)
-        assert report.passed, report.failed
+        assert failures(check(subset)) == []
 
     def test_overflow_customs_pass(self):
         subset = [c for c in custom_tests() if "WRAP" in c.name][:4]
         assert subset
-        report = run_suite(subset)
-        assert report.passed, report.failed
+        assert failures(check(subset)) == []
 
     def test_report_counts(self):
         subset = [CaseSpec(test=classic_tests()[0])]
-        report = run_suite(subset)
-        assert report.total == 1
-        assert report.states_total > 0
+        records = check(subset)
+        assert len(records) == 1
+        assert records[0].states_explored > 0

@@ -1,7 +1,10 @@
 """Visited-set storage: novelty contract and the SQLite spill path."""
 
+import glob
 import os
 
+from repro.litmus.model_checker import ModelChecker
+from repro.litmus.suite import full_suite
 from repro.litmus.visited import (
     MemoryVisitedSet,
     SqliteVisitedSet,
@@ -74,3 +77,28 @@ class TestMakeVisited:
         assert isinstance(visited, SqliteVisitedSet)
         assert visited.spill_threshold == 7
         visited.close()
+
+
+class TestCheckerSpill:
+    def test_spilled_run_matches_in_memory_run(self, tmp_path):
+        """Where the visited set lives changes nothing the checker reports."""
+        case = next(c for c in full_suite() if c.name == "ISA2.split@cord")
+
+        def check(**storage):
+            return ModelChecker(case.test, protocol=case.protocol,
+                                partial=True, **storage).run()
+
+        def outcomes(result):
+            return {tuple(sorted(o.items())) for o in result.outcomes}
+
+        memory = check()
+        db = str(tmp_path / "visited.sqlite")
+        spilled = check(visited_db=db, spill_threshold=3)
+        assert spilled.states_explored == memory.states_explored
+        assert spilled.deadlocks == memory.deadlocks
+        for key in ("transitions", "visited_hits"):
+            assert spilled.stats[key] == memory.stats[key]
+        assert outcomes(spilled) == outcomes(memory)
+        assert spilled.stats["visited_spilled"] == 1.0
+        assert memory.stats["visited_spilled"] == 0.0
+        assert glob.glob(db + "*") == []  # scratch database removed

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.litmus
 from repro.__main__ import main
 from repro.harness import read_run_log
 
@@ -52,6 +53,37 @@ class TestCli:
         out = capsys.readouterr().out
         assert repr(argument) in out and choice in out
         assert "[executor]" not in out
+
+
+class TestLitmusCli:
+    def test_failing_sweep_exits_one(self, monkeypatch, capsys):
+        cases = [repro.litmus.CaseSpec(test=test, protocol="mp")
+                 for test in repro.litmus.classic_tests()
+                 if test.name.startswith("ISA2.")]
+        monkeypatch.setattr(repro.litmus, "full_suite", lambda: cases)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["litmus", "--no-cache"])
+        assert exit_info.value.code == 1
+        out = capsys.readouterr().out
+        assert "FAILED ISA2.split@mp" in out
+        assert "forbidden outcome reached" in out
+        assert "ALL PASSED" not in out
+
+    def test_full_sweep_passes_then_serves_from_cache(self, tmp_path,
+                                                      capsys):
+        log = tmp_path / "runs.jsonl"
+        args = ["litmus", "--cache-dir", str(tmp_path / "cache"),
+                "--run-log", str(log)]
+        assert main(args) == 0
+        assert "ALL PASSED" in capsys.readouterr().out
+        cold = read_run_log(log)
+        assert cold and not any(entry["cached"] for entry in cold)
+
+        assert main(args) == 0
+        assert f"hits={len(cold)} misses=0" in capsys.readouterr().out
+        warm = read_run_log(log)[len(cold):]
+        assert len(warm) == len(cold)
+        assert all(entry["cached"] for entry in warm)
 
 
 class TestScaleCli:
