@@ -306,13 +306,15 @@ def check_suite(specs: List[CheckSpec], executor: Executor,
     """Check every spec through ``executor``; True when all pass.
 
     Prints each failing case with its :meth:`CheckRecord.failure_lines`,
-    then one summary line headed ``label``: cases, states explored, cache
-    hits and misses, wall time, the cold states/second rate and the
-    verdict.
+    then one summary line headed ``label``: cases, states explored, this
+    sweep's cache hits and misses, wall time, the states/second rate of
+    the cases explored in this sweep and the verdict.
     """
+    hits, misses = executor.hits, executor.misses
     started = time.perf_counter()
     records = executor.map(specs)
     wall = time.perf_counter() - started
+    hits, misses = executor.hits - hits, executor.misses - misses
 
     failed = [r for r in records if not r.passed]
     for record in failed:
@@ -321,12 +323,13 @@ def check_suite(specs: List[CheckSpec], executor: Executor,
             print(f"  {line}")
 
     states = sum(r.states_explored for r in records)
-    explored_wall = sum(r.stats.get("wall_s", 0.0)
-                        for r in records if not r.cached)
-    rate = states / explored_wall if explored_wall > 0 else 0.0
+    fresh = [r for r in records if not r.cached]
+    explored_wall = sum(r.stats.get("wall_s", 0.0) for r in fresh)
+    rate = (sum(r.states_explored for r in fresh) / explored_wall
+            if explored_wall > 0 else 0.0)
     status = "ALL PASSED" if not failed else f"{len(failed)} FAILED"
     print(f"{label}: {len(records)} cases, {states} states "
-          f"explored, {executor.hits} cached / {executor.misses} run "
+          f"explored, {hits} cached / {misses} run "
           f"in {wall:.2f}s"
           + (f" ({rate:,.0f} states/s explored)" if rate else "")
           + f" — {status}")

@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import marshal
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
@@ -370,12 +371,21 @@ def _freeze_cached(obj: Any) -> Any:
 def _digest_of(key: Any) -> bytes:
     """Canonical 128-bit digest of a visited-set key.
 
-    ``repr`` is injective and deterministic on the key domain (nested
-    tuples of ints, strings, bools and None — ``_freeze`` guarantees no
-    live objects remain), unlike ``pickle``, whose memoization makes the
-    byte stream depend on internal object sharing.
+    BLAKE2b hashes the key's ``marshal`` bytes at format version 2.  On the
+    key domain (nested tuples of ints, floats, strings, bools and None —
+    ``_freeze`` guarantees no live objects remain) the encoding is
+    injective and type-tagged, so ``True``, ``1`` and ``1.0`` differ.
+    Version 2 writes no back-references: equal keys give equal bytes
+    whichever sub-tuples or strings are shared or interned objects.  Later
+    versions (the default) and ``pickle`` memoize shared objects, so their
+    bytes depend on how the key was built.  A value outside the domain
+    raises ``ValueError``.
+
+    marshal's format may change between Python versions.  That is harmless
+    here: a digest never leaves the process that computed it, and the
+    SQLite spill file is scratch for one run.
     """
-    return hashlib.blake2b(repr(key).encode(), digest_size=16).digest()
+    return hashlib.blake2b(marshal.dumps(key, 2), digest_size=16).digest()
 
 
 def _permuted_frozen(component: Any, auto: Automorphism, builder) -> Tuple:

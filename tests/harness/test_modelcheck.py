@@ -14,7 +14,7 @@ from repro.harness import (
     spec_key,
     suite_cases,
 )
-from repro.harness.modelcheck import _execute_check, make_specs
+from repro.harness.modelcheck import _execute_check, check_suite, make_specs
 from repro.litmus import LitmusTest, ld, poll_acq, st, st_rel
 from repro.__main__ import main
 
@@ -143,6 +143,44 @@ class TestCacheAndParallel:
         assert (warm.hits, warm.misses) == (1, 0)
         assert reused[0].cached
         assert reused[0].states_explored == records[0].states_explored
+
+
+class _RecordingExecutor(Executor):
+    """An executor that keeps the records of its last sweep."""
+
+    def map(self, specs):
+        self.records = super().map(specs)
+        return self.records
+
+
+class TestCheckSuiteSummary:
+    """The summary line describes only the sweep it heads."""
+
+    @staticmethod
+    def _second_sweep(tmp_path, capsys):
+        """Run two sweeps on one executor; the second is half warm (MP is
+        cached, the two SO cases are not).  Returns the executor and the
+        second sweep's output."""
+        executor = _RecordingExecutor(jobs=1, cache_dir=tmp_path)
+        assert check_suite([check_spec(MP), check_spec(ISA2)], executor,
+                           "first")
+        capsys.readouterr()
+        specs = [check_spec(MP), check_spec(MP, protocol="so"),
+                 check_spec(ISA2, protocol="so")]
+        assert check_suite(specs, executor, "second")
+        return executor, capsys.readouterr().out
+
+    def test_cache_counts_are_this_sweeps(self, tmp_path, capsys):
+        _, out = self._second_sweep(tmp_path, capsys)
+        assert "1 cached / 2 run" in out
+
+    def test_rate_counts_only_the_explored_cases(self, tmp_path, capsys):
+        executor, out = self._second_sweep(tmp_path, capsys)
+        fresh = [r for r in executor.records if not r.cached]
+        assert len(fresh) == 2
+        rate = (sum(r.states_explored for r in fresh)
+                / sum(r.stats["wall_s"] for r in fresh))
+        assert f"({rate:,.0f} states/s explored)" in out
 
 
 class TestSuites:

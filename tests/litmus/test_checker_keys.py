@@ -12,10 +12,14 @@ walk used to give:
   field does not;
 * the symmetry path's permuted key under the identity permutation equals
   the plain key, so a compact form cannot drift apart from the
-  ``_build_permuted_*`` twins that the symmetry images are frozen from.
+  ``_build_permuted_*`` twins that the symmetry images are frozen from;
+* the digest of a key depends only on its value: object sharing and
+  string interning do not change it, atom types and nesting do, and a
+  live object is refused.
 """
 
 import copy
+import sys
 
 import pytest
 
@@ -307,3 +311,30 @@ def test_identity_permutation_gives_the_plain_key(protocol):
                 mismatches.append(test.name)
     assert checked > 1000
     assert not mismatches, sorted(set(mismatches))
+
+
+# ---------------------------------------------------------------------------
+# Digest encoding: value in, value out
+# ---------------------------------------------------------------------------
+class TestDigestEncoding:
+    def test_object_sharing_does_not_change_the_digest(self):
+        t = ("a", 1, (2, None))
+        assert mc._digest_of((t, t)) == mc._digest_of((t, tuple(list(t))))
+
+    def test_string_interning_does_not_change_the_digest(self):
+        interned = sys.intern("ab1")
+        built = "".join(["ab", str(1)])
+        assert built == interned and built is not interned
+        assert (mc._digest_of(((interned, interned), interned))
+                == mc._digest_of(((interned, built), built)))
+
+    @pytest.mark.parametrize("left,right", [
+        (True, 1), (1, 1.0), (True, 1.0), (None, "None"), (1, "1"),
+        ((("a",), "b"), ("a", ("b",))),
+    ], ids=repr)
+    def test_atom_type_and_nesting_change_the_digest(self, left, right):
+        assert mc._digest_of(left) != mc._digest_of(right)
+
+    def test_live_object_is_refused(self):
+        with pytest.raises(ValueError):
+            mc._digest_of(("state", object()))

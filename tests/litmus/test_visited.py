@@ -3,8 +3,10 @@
 import glob
 import os
 
+import pytest
+
 from repro.litmus.model_checker import ModelChecker
-from repro.litmus.suite import full_suite
+from repro.litmus.suite import classic_tests, full_suite
 from repro.litmus.visited import (
     MemoryVisitedSet,
     SqliteVisitedSet,
@@ -79,6 +81,38 @@ class TestMakeVisited:
         visited.close()
 
 
+def _outcomes(result):
+    return {tuple(sorted(o.items())) for o in result.outcomes}
+
+
+def _exploration(result):
+    """The counts and outcomes a merged or split state would move."""
+    return (result.states_explored, result.deadlocks,
+            result.stats["transitions"], result.stats["visited_hits"],
+            _outcomes(result))
+
+
+class TestDigestKeys:
+    @pytest.mark.parametrize("protocol",
+                             ["so", "cord", "mp", "seq2", "tardis"])
+    def test_digest_keys_explore_what_raw_keys_explore(self, protocol,
+                                                       tmp_path):
+        """Without symmetry, an in-memory run keys the visited set by raw
+        tuples and a ``visited_db`` run that never spills keys it by their
+        digests; nothing else about the search differs."""
+        db = str(tmp_path / "visited.sqlite")
+        mismatches = []
+        for test in classic_tests():
+            raw = ModelChecker(test, protocol=protocol, symmetry=False,
+                               partial=True).run()
+            digest = ModelChecker(test, protocol=protocol, symmetry=False,
+                                  partial=True, visited_db=db).run()
+            assert digest.stats["visited_spilled"] == 0.0
+            if _exploration(digest) != _exploration(raw):
+                mismatches.append(test.name)
+        assert not mismatches
+
+
 class TestCheckerSpill:
     def test_spilled_run_matches_in_memory_run(self, tmp_path):
         """Where the visited set lives changes nothing the checker reports."""
@@ -88,17 +122,10 @@ class TestCheckerSpill:
             return ModelChecker(case.test, protocol=case.protocol,
                                 partial=True, **storage).run()
 
-        def outcomes(result):
-            return {tuple(sorted(o.items())) for o in result.outcomes}
-
         memory = check()
         db = str(tmp_path / "visited.sqlite")
         spilled = check(visited_db=db, spill_threshold=3)
-        assert spilled.states_explored == memory.states_explored
-        assert spilled.deadlocks == memory.deadlocks
-        for key in ("transitions", "visited_hits"):
-            assert spilled.stats[key] == memory.stats[key]
-        assert outcomes(spilled) == outcomes(memory)
+        assert _exploration(spilled) == _exploration(memory)
         assert spilled.stats["visited_spilled"] == 1.0
         assert memory.stats["visited_spilled"] == 0.0
         assert glob.glob(db + "*") == []  # scratch database removed
