@@ -7,15 +7,13 @@ and deadlock freedom.  This sweep runs our equivalent suite exhaustively.
 """
 
 from benchmarks.conftest import run_once
-from repro.harness.modelcheck import make_specs
 from repro.litmus import full_suite
 from repro.litmus.dsl import LitmusTest, ld, poll_acq, st, st_rel
 from repro.litmus.model_checker import ModelChecker
 
 
 def test_full_litmus_suite(benchmark, shared_executor):
-    specs = make_specs(full_suite())
-    records = run_once(benchmark, shared_executor.map, specs)
+    records = run_once(benchmark, shared_executor.map, full_suite())
     states = sum(record.states_explored for record in records)
     print(f"\n== §4.5: litmus sweep — {len(records)} checker runs, "
           f"{states} states explored ==")

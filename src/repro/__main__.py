@@ -52,10 +52,11 @@ Modelcheck options (``modelcheck`` only; see ``repro.harness.modelcheck``):
     --visited-db DIR  spill per-case visited sets to SQLite files in DIR
                       once they outgrow RAM
     --spill-threshold N   in-RAM visited entries before spilling
-                      (default: 200000)
+                      (default: 200000; needs --visited-db)
     --gen-count/--gen-seed/--gen-threads/--gen-locs/--gen-values/--gen-ops N
                       bounds for the 'generated' suite (defaults:
-                      32/0/2/2/2/3); --gen-atomics adds fetch-and-adds
+                      32/0/2/2/2/3); --gen-atomics adds fetch-and-adds.
+                      Any --gen-* flag with another suite is an error
     plus --jobs/--cache-dir/--no-cache/--run-log as above
 
 Scale options (``scale`` only; see ``repro.harness.scale``):
@@ -104,10 +105,9 @@ def _run_litmus(executor: Executor) -> None:
     if executor.faults is not None:
         passed = _run_fault_litmus(executor.faults)
     else:
-        from repro.harness.modelcheck import check_suite, make_specs
+        from repro.harness.modelcheck import check_suite
         from repro.litmus import full_suite
-        passed = check_suite(make_specs(full_suite()), executor,
-                             "litmus sweep")
+        passed = check_suite(full_suite(), executor, "litmus sweep")
     if not passed:
         raise SystemExit(1)
 

@@ -21,12 +21,13 @@ Cache keying
 ------------
 A run's cache key is the SHA-256 of the canonical JSON form of its
 :class:`RunSpec` (every nested dataclass serialized field-by-field with its
-class name) combined with a *code version* — the hash of every ``*.py``
-file in the installed ``repro`` package.  Any change to the simulator, the
-protocols or the spec therefore invalidates exactly the affected entries;
-identical reruns are pure cache hits.  Records round-trip through JSON
-losslessly (Python floats serialize via ``repr``), so a cached record
-compares equal to a freshly computed one.
+class name, ``compare=False`` fields left out) combined with a *code
+version* — the hash of every ``*.py`` file in the installed ``repro``
+package.  Any change to the simulator, the protocols or the spec
+therefore invalidates exactly the affected entries; identical reruns are
+pure cache hits.  Records round-trip through JSON losslessly (Python
+floats serialize via ``repr``), so a cached record compares equal to a
+freshly computed one.
 
 Determinism
 -----------
@@ -162,7 +163,12 @@ _OBSERVATIONAL_FIELDS = ("max_events", "experiment", "trace")
 
 
 def _canonical(obj: Any) -> Any:
-    """JSON-serializable canonical form (dataclasses tagged by class name)."""
+    """JSON-serializable canonical form (dataclasses tagged by class name).
+
+    Dataclass fields declared ``compare=False`` are left out: they say how
+    a result is computed, not what it is (a check spec's visited-set
+    storage), so they must not split the cache.
+    """
     if isinstance(obj, enum.Enum):
         # Enums (e.g. Ordering inside a LitmusTest program) canonicalize
         # by class and member name; must precede the int/str scalar cases
@@ -171,7 +177,8 @@ def _canonical(obj: Any) -> Any:
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         out: Dict[str, Any] = {"__class__": type(obj).__name__}
         for f in dataclasses.fields(obj):
-            out[f.name] = _canonical(getattr(obj, f.name))
+            if f.compare:
+                out[f.name] = _canonical(getattr(obj, f.name))
         return out
     if isinstance(obj, dict):
         return {
@@ -624,7 +631,7 @@ class Executor:
         """Execute ``specs``, returning records in spec order.
 
         Accepts any registered spec type (:class:`RunSpec` simulations,
-        :class:`repro.harness.modelcheck.CheckSpec` model-checker runs);
+        :class:`repro.litmus.suite.CheckSpec` model-checker runs);
         the trace/fault rewrites below apply only to simulation specs.
 
         Cache hits are recalled without simulating; misses run across the

@@ -3,10 +3,11 @@
 Each litmus case is an independent, deterministic unit of work, so suite
 sweeps get the same infrastructure as the figure experiments:
 
-* :class:`CheckSpec` — a frozen, picklable description of one checker run
-  (litmus test x protocol x CORD provisioning x exploration options),
-  registered with :mod:`repro.harness.executor` so ``Executor.map``
-  content-addresses, caches and parallelizes it exactly like a
+* :class:`~repro.litmus.suite.CheckSpec` — a frozen, picklable description
+  of one checker run (litmus test x protocol x CORD provisioning x
+  exploration options), defined with the suites and registered here with
+  :mod:`repro.harness.executor`, so ``Executor.map`` content-addresses,
+  caches and parallelizes it exactly like a
   :class:`~repro.harness.executor.RunSpec`.
 * :class:`CheckRecord` — the serializable verdict of one checker run:
   pass/fail, outcome sets, forbidden outcomes reached, RC-violation and
@@ -24,15 +25,15 @@ The cache key includes the repo-wide code version, so editing the model
 checker or any protocol state machine invalidates cached verdicts; an
 unchanged tree re-verifies the whole suite from cache in milliseconds.
 
-Storage knobs — ``--visited-db DIR`` / ``--spill-threshold N`` for the
-disk-backed visited set — deliberately stay *out* of :class:`CheckSpec`
-(they are plumbed via ``REPRO_MODELCHECK_VISITED_DB`` /
-``REPRO_MODELCHECK_SPILL``): the verdict artifact is identical wherever the
-visited set lived, so a suite checked in memory is a warm cache for the
-same suite re-run with a spilling visited set and vice versa.  Multi-core
-sweeps fan cases out with the executor's ``--jobs``.  ``--symmetry`` is a
-:class:`CheckSpec` field — it changes the search, and flipping it is
-exactly what the soundness differential wants to re-explore.
+``--visited-db DIR`` / ``--spill-threshold N`` set the spec's
+``visited_db`` and ``spill_threshold`` fields.  Both are declared
+``compare=False``, which keeps them out of the cache key: the verdict is
+identical wherever the visited set lived, so a suite checked in memory is
+a warm cache for the same suite re-run with a spilling visited set and
+vice versa.  Multi-core sweeps fan cases out with the executor's
+``--jobs``.  ``--symmetry`` is an ordinary field — it changes the search,
+and flipping it is exactly what the soundness differential wants to
+re-explore.
 """
 
 from __future__ import annotations
@@ -40,13 +41,16 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from repro.config import CordConfig
 from repro.harness.executor import Executor, register_spec_type, spec_key
-from repro.litmus.dsl import LitmusTest
-from repro.litmus.suite import CaseSpec, classic_tests, custom_tests, full_suite
+from repro.litmus.suite import (
+    CheckSpec,
+    classic_tests,
+    custom_tests,
+    full_suite,
+)
 from repro.sim.stats import StatRegistry
 
 __all__ = [
@@ -57,37 +61,6 @@ __all__ = [
     "check_suite",
     "run_modelcheck_cli",
 ]
-
-
-@dataclass(frozen=True)
-class CheckSpec:
-    """One independent model-checker run: litmus test x configuration.
-
-    Mirrors :class:`repro.litmus.suite.CaseSpec` plus the exploration
-    options that change the verdict artifact (``max_states``) or the
-    search (``por``).  Frozen and picklable, so it crosses pool-worker
-    boundaries and canonicalizes for the content-addressed cache.
-    """
-
-    test: LitmusTest
-    protocol: str = "cord"
-    cord_config: Optional[CordConfig] = None
-    tso: bool = False
-    max_states: int = 500_000
-    por: bool = True
-    symmetry: bool = True
-    experiment: str = "modelcheck"
-    kind: str = "modelcheck"
-
-    @property
-    def workload_label(self) -> str:
-        """The suite-style case name (``ISA2.split@cord.tiny``)."""
-        suffix = f"@{self.protocol}"
-        if self.cord_config is not None:
-            suffix += ".tiny"
-        if self.tso:
-            suffix += ".tso"
-        return self.test.name + suffix
 
 
 @dataclass
@@ -177,21 +150,15 @@ def _execute_check(spec: CheckSpec,
     ``trace_dir`` is part of the shared worker signature but unused —
     exploration has no timed message trace.  Runs with ``partial=True``
     so a budget-exhausted case records ``complete=False`` (and fails)
-    instead of aborting the rest of the sweep.
-
-    Storage knobs come from the environment, not the spec, so they never
-    perturb the cache key (see the module docstring):
-    ``REPRO_MODELCHECK_VISITED_DB`` (directory for per-case spillable
-    visited sets) and ``REPRO_MODELCHECK_SPILL`` (spill threshold).
+    instead of aborting the rest of the sweep.  With ``spec.visited_db``
+    set, the case's visited set may spill to
+    ``<visited_db>/<spec key>.visited.sqlite``.
     """
     from repro.litmus.model_checker import ModelChecker
 
     key = spec_key(spec)
-    visited_dir = os.environ.get("REPRO_MODELCHECK_VISITED_DB") or None
-    visited_db = (os.path.join(visited_dir, key + ".visited.sqlite")
-                  if visited_dir else None)
-    spill_env = os.environ.get("REPRO_MODELCHECK_SPILL")
-    spill_threshold = int(spill_env) if spill_env else None
+    visited_db = (os.path.join(spec.visited_db, key + ".visited.sqlite")
+                  if spec.visited_db else None)
 
     started = time.perf_counter()
     checker = ModelChecker(
@@ -203,7 +170,7 @@ def _execute_check(spec: CheckSpec,
         por=spec.por,
         symmetry=spec.symmetry,
         visited_db=visited_db,
-        spill_threshold=spill_threshold,
+        spill_threshold=spec.spill_threshold,
         partial=True,
         stats=StatRegistry(),
     )
@@ -242,7 +209,7 @@ register_spec_type(CheckSpec, _execute_check, ["modelcheck"],
 # Suites
 # ---------------------------------------------------------------------------
 def suite_cases(suite: str, gen_count: int = 32, gen_seed: int = 0,
-                gen_params=None) -> List[CaseSpec]:
+                gen_params=None) -> List[CheckSpec]:
     """Named case sets for the CLI and CI.
 
     ``quick`` is the curated smoke subset: the causality shapes (MP/ISA2)
@@ -260,7 +227,7 @@ def suite_cases(suite: str, gen_count: int = 32, gen_seed: int = 0,
         return generated_suite(count=gen_count, seed=gen_seed,
                                params=gen_params or GeneratorParams())
     if suite == "classic":
-        return [CaseSpec(test=test, protocol=protocol)
+        return [CheckSpec(test=test, protocol=protocol)
                 for test in classic_tests() for protocol in ("cord", "so")]
     if suite == "custom":
         return custom_tests()
@@ -269,13 +236,13 @@ def suite_cases(suite: str, gen_count: int = 32, gen_seed: int = 0,
     if suite == "quick":
         shapes = ("MP.", "ISA2.")
         cases = [
-            CaseSpec(test=test, protocol=protocol)
+            CheckSpec(test=test, protocol=protocol)
             for test in classic_tests()
             if test.name.startswith(shapes)
             for protocol in ("cord", "so")
         ]
         cases.extend(
-            CaseSpec(test=test, protocol="seq8")
+            CheckSpec(test=test, protocol="seq8")
             for test in classic_tests()
             if test.name.startswith(shapes) and test.name.endswith(".same")
         )
@@ -291,14 +258,12 @@ def suite_cases(suite: str, gen_count: int = 32, gen_seed: int = 0,
     )
 
 
-def make_specs(cases: List[CaseSpec], max_states: int = 500_000,
+def make_specs(specs: List[CheckSpec], max_states: int = 500_000,
                por: bool = True, symmetry: bool = True) -> List[CheckSpec]:
-    return [
-        CheckSpec(test=case.test, protocol=case.protocol,
-                  cord_config=case.cord_config, tso=case.tso,
-                  max_states=max_states, por=por, symmetry=symmetry)
-        for case in cases
-    ]
+    """``specs`` with their exploration options replaced."""
+    return [dataclasses.replace(spec, max_states=max_states, por=por,
+                                symmetry=symmetry)
+            for spec in specs]
 
 
 def check_suite(specs: List[CheckSpec], executor: Executor,
@@ -345,36 +310,36 @@ def run_modelcheck_cli(argv: List[str]) -> int:
     SUITE is ``quick``, ``classic``, ``custom``, ``generated`` or ``full``
     (default).  Options: ``--max-states N``, ``--no-por``,
     ``--no-symmetry``, ``--visited-db DIR`` / ``--spill-threshold N``
-    (disk-backed visited sets), the ``generated``-suite shape flags
-    ``--gen-count/--gen-seed/--gen-threads/--gen-locs/--gen-values/
-    --gen-ops/--gen-atomics``, and the executor flags ``--jobs N``,
+    (disk-backed visited sets; the threshold needs the directory), the
+    ``generated``-suite shape flags ``--gen-count/--gen-seed/
+    --gen-threads/--gen-locs/--gen-values/--gen-ops/--gen-atomics`` (an
+    error on any other suite), and the executor flags ``--jobs N``,
     ``--cache-dir PATH``, ``--no-cache``, ``--run-log PATH``.
-    Exit status 1 when any case fails.
+    Exit status 1 when any case fails, 2 on a usage error.
     """
     from repro.harness.executor import default_cache_dir
 
     suite = "full"
-    max_states = 500_000
-    por = True
-    symmetry = True
+    por = symmetry = True
+    gen_atomics = False
     visited_db: Optional[str] = None
-    spill_threshold: Optional[int] = None
-    jobs = 1
     cache_dir: Optional[str] = str(default_cache_dir())
     run_log: Optional[str] = None
-    gen_count, gen_seed = 32, 0
-    gen_threads, gen_locs, gen_values, gen_ops = 2, 2, 2, 3
-    gen_atomics = False
-
-    int_flags = {"--max-states", "--jobs", "--spill-threshold", "--gen-count",
-                 "--gen-threads", "--gen-locs", "--gen-values", "--gen-ops",
-                 "--gen-seed"}
-    value_flags = int_flags | {"--cache-dir", "--run-log", "--visited-db"}
+    # Integer flags and their defaults; each must be >= 1 unless listed
+    # in ``zero_ok``.
+    numbers: Dict[str, Optional[int]] = {
+        "--max-states": 500_000, "--jobs": 1, "--spill-threshold": None,
+        "--gen-count": 32, "--gen-seed": 0, "--gen-threads": 2,
+        "--gen-locs": 2, "--gen-values": 2, "--gen-ops": 3,
+    }
+    zero_ok = ("--gen-seed", "--spill-threshold")
+    given: List[str] = []
 
     index = 0
     while index < len(argv):
         arg = argv[index]
-        if arg in value_flags:
+        if arg in numbers or arg in ("--cache-dir", "--run-log",
+                                     "--visited-db"):
             if index + 1 >= len(argv):
                 print(f"{arg} requires a value")
                 return 2
@@ -389,30 +354,12 @@ def run_modelcheck_cli(argv: List[str]) -> int:
             else:
                 try:
                     number = int(value)
-                    if number < (0 if arg in ("--gen-seed",
-                                              "--spill-threshold") else 1):
+                    if number < (0 if arg in zero_ok else 1):
                         raise ValueError
                 except ValueError:
                     print(f"{arg} expects a valid integer, got {value!r}")
                     return 2
-                if arg == "--max-states":
-                    max_states = number
-                elif arg == "--jobs":
-                    jobs = number
-                elif arg == "--spill-threshold":
-                    spill_threshold = number
-                elif arg == "--gen-count":
-                    gen_count = number
-                elif arg == "--gen-seed":
-                    gen_seed = number
-                elif arg == "--gen-threads":
-                    gen_threads = number
-                elif arg == "--gen-locs":
-                    gen_locs = number
-                elif arg == "--gen-values":
-                    gen_values = number
-                else:
-                    gen_ops = number
+                numbers[arg] = number
         elif arg == "--no-por":
             por = False
         elif arg in ("--no-symmetry", "--symmetry"):
@@ -431,41 +378,40 @@ def run_modelcheck_cli(argv: List[str]) -> int:
             return 2
         else:
             suite = arg
+        given.append(arg)
         index += 1
+
+    gen_flags = [arg for arg in given if arg.startswith("--gen-")]
+    if gen_flags and suite != "generated":
+        print(f"{gen_flags[0]} applies only to the generated suite, "
+              f"not {suite!r}")
+        return 2
+    spill_threshold = numbers["--spill-threshold"]
+    if spill_threshold is not None and visited_db is None:
+        print("--spill-threshold needs --visited-db DIR; without it the "
+              "visited set never leaves memory")
+        return 2
 
     gen_params = None
     if suite == "generated":
         from repro.litmus.generate import GeneratorParams
         gen_params = GeneratorParams(
-            threads=gen_threads, locations=gen_locs, values=gen_values,
-            ops_per_thread=gen_ops, atomics=gen_atomics)
+            threads=numbers["--gen-threads"],
+            locations=numbers["--gen-locs"],
+            values=numbers["--gen-values"],
+            ops_per_thread=numbers["--gen-ops"], atomics=gen_atomics)
     try:
-        cases = suite_cases(suite, gen_count=gen_count, gen_seed=gen_seed,
+        cases = suite_cases(suite, gen_count=numbers["--gen-count"],
+                            gen_seed=numbers["--gen-seed"],
                             gen_params=gen_params)
     except ValueError as err:
         print(err)
         return 2
-    specs = make_specs(cases, max_states=max_states, por=por,
-                       symmetry=symmetry)
-    executor = Executor(jobs=jobs, cache_dir=cache_dir, run_log=run_log)
-
-    env_overrides = {
-        "REPRO_MODELCHECK_VISITED_DB": visited_db,
-        "REPRO_MODELCHECK_SPILL": (str(spill_threshold)
-                                   if spill_threshold is not None else None),
-    }
-    saved = {name: os.environ.get(name) for name in env_overrides}
-    for name, value in env_overrides.items():
-        if value is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = value
-    try:
-        passed = check_suite(specs, executor, f"modelcheck[{suite}]")
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+    specs = [dataclasses.replace(
+        case, max_states=numbers["--max-states"], por=por,
+        symmetry=symmetry, visited_db=visited_db,
+        spill_threshold=spill_threshold) for case in cases]
+    executor = Executor(jobs=numbers["--jobs"], cache_dir=cache_dir,
+                        run_log=run_log)
+    passed = check_suite(specs, executor, f"modelcheck[{suite}]")
     return 0 if passed else 1

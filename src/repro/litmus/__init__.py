@@ -27,7 +27,6 @@ from repro.litmus.generate import (
     generate_test,
     generated_suite,
 )
-from repro.litmus.random_walk import RandomWalkResult, random_walk
 from repro.litmus.symmetry import Automorphism, find_automorphisms
 from repro.litmus.visited import (
     MemoryVisitedSet,
@@ -45,7 +44,7 @@ from repro.litmus.runner import (
     run_timed,
 )
 from repro.litmus.suite import (
-    CaseSpec,
+    CheckSpec,
     classic_tests,
     custom_tests,
     full_suite,
@@ -66,8 +65,6 @@ __all__ = [
     "fault_suite",
     "FaultSweepReport",
     "TimedLitmusResult",
-    "random_walk",
-    "RandomWalkResult",
     "GeneratorParams",
     "generate_test",
     "generated_suite",
@@ -80,5 +77,5 @@ __all__ = [
     "classic_tests",
     "custom_tests",
     "full_suite",
-    "CaseSpec",
+    "CheckSpec",
 ]

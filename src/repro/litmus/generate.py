@@ -28,7 +28,7 @@ from typing import List, Tuple
 from repro.litmus.dsl import (
     LitmusTest, faa, fence, ld, ld_acq, st, st_rel,
 )
-from repro.litmus.suite import CaseSpec
+from repro.litmus.suite import CheckSpec
 from repro.sim import DeterministicRng
 
 __all__ = ["GeneratorParams", "generate_test", "generated_suite"]
@@ -114,12 +114,12 @@ def generated_suite(
     seed: int = 0,
     params: GeneratorParams = GeneratorParams(),
     protocols: Tuple[str, ...] = ("cord", "so", "tardis"),
-) -> List[CaseSpec]:
-    """``count`` generated tests × ``protocols`` as suite cases, seeded
+) -> List[CheckSpec]:
+    """``count`` generated tests × ``protocols`` as check specs, seeded
     ``seed .. seed+count-1``."""
-    cases: List[CaseSpec] = []
+    cases: List[CheckSpec] = []
     for offset in range(count):
         test = generate_test(seed + offset, params)
         for protocol in protocols:
-            cases.append(CaseSpec(test=test, protocol=protocol))
+            cases.append(CheckSpec(test=test, protocol=protocol))
     return cases

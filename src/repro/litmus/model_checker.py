@@ -1009,7 +1009,14 @@ class ModelChecker:
         return False
 
     def _stores_drained(self, state: _State, core_index: int) -> bool:
-        """True when the core has no store still in flight (SC gating)."""
+        """True when the core has no store still in flight (SC gating).
+
+        A store is in flight while its carrier (a :data:`_FWD_STORE_KINDS`
+        message from this core) is on the network, or while the core's
+        completion counters still wait for its ack or commit.  MP stores
+        have no completion signal, so only the network test sees them;
+        for the other tables the counters already imply it.
+        """
         core = state.cores[core_index]
         if core.so_outstanding > 0:
             return False
@@ -1020,14 +1027,11 @@ class ModelChecker:
             return False
         if core.cord is not None and core.cord.total_unacked() > 0:
             return False
-        # MP has no completion signal; approximate with network emptiness
-        # for this core's posted stores.
-        if self.core_protocols[core_index] == "mp":
-            return not any(
-                m.kind == "posted" and m.fields.get("core") == core_index
-                for m in state.network
-            )
-        return True
+        return not any(
+            msg.kind in _FWD_STORE_KINDS
+            and msg.fields.get("core") == core_index
+            for msg in state.network
+        )
 
     def _delivery_enabled(self, state: _State, msg: _Msg) -> bool:
         rule = self._delivery_rules[msg.kind]

@@ -1,4 +1,5 @@
-"""The litmus-test suites (§4.5).
+"""The litmus-test suites (§4.5) and :class:`CheckSpec`, the one
+description of a model-checker run.
 
 Two collections mirror the paper's methodology:
 
@@ -12,12 +13,13 @@ Two collections mirror the paper's methodology:
 
 Every test is checked exhaustively by
 :class:`~repro.litmus.model_checker.ModelChecker`; whole collections are
-swept through the harness executor (:mod:`repro.harness.modelcheck`).
+swept as :class:`CheckSpec` lists through the harness executor
+(:mod:`repro.harness.modelcheck`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import CordConfig
@@ -35,7 +37,7 @@ from repro.litmus.dsl import (
 )
 
 __all__ = [
-    "CaseSpec",
+    "CheckSpec",
     "classic_tests",
     "custom_tests",
     "full_suite",
@@ -43,16 +45,38 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class CaseSpec:
-    """A litmus test plus the checker configuration it runs under."""
+class CheckSpec:
+    """One model-checker run: a litmus test and the configuration it is
+    checked under.
+
+    ``protocol``, ``cord_config`` and ``tso`` choose the machine;
+    ``max_states``, ``por`` and ``symmetry`` choose the search.  Frozen
+    and picklable, so it crosses pool-worker boundaries and canonicalizes
+    for the executor's content-addressed cache
+    (:mod:`repro.harness.modelcheck` registers it).
+
+    ``visited_db`` (a directory for per-case disk-backed visited sets) and
+    ``spill_threshold`` only say where the visited set lives.  They are
+    ``compare=False`` fields, which the cache key leaves out: the verdict
+    is the same wherever the visited set lived, so a suite checked in
+    memory is a warm cache for the same suite with a spilling visited set.
+    """
 
     test: LitmusTest
     protocol: str = "cord"
     cord_config: Optional[CordConfig] = None
     tso: bool = False
+    max_states: int = 500_000
+    por: bool = True
+    symmetry: bool = True
+    experiment: str = "modelcheck"
+    kind: str = "modelcheck"
+    visited_db: Optional[str] = field(default=None, compare=False)
+    spill_threshold: Optional[int] = field(default=None, compare=False)
 
     @property
-    def name(self) -> str:
+    def workload_label(self) -> str:
+        """The suite-style case name (``ISA2.split@cord.tiny``)."""
         suffix = f"@{self.protocol}"
         if self.cord_config is not None:
             suffix += ".tiny"
@@ -334,9 +358,9 @@ def _counter_overflow_test(tag: str, locs: Dict[str, int]) -> LitmusTest:
     )
 
 
-def custom_tests() -> List[CaseSpec]:
+def custom_tests() -> List[CheckSpec]:
     """The §4.5 corner-case matrix (~190 checker runs)."""
-    cases: List[CaseSpec] = []
+    cases: List[CheckSpec] = []
 
     # 1) Mixed CORD/SO cores on the causality shapes, over placements.
     for tag, locations in _PLACEMENTS:
@@ -351,11 +375,11 @@ def custom_tests() -> List[CaseSpec]:
                     name=f"{base.name}.mix-{'-'.join(assignment)}",
                     thread_protocols=list(assignment),
                 )
-                cases.append(CaseSpec(test=test, protocol="cord"))
+                cases.append(CheckSpec(test=test, protocol="cord"))
 
     # 2) One core mixing directory- and source-ordered stores.
     for tag, locations in _PLACEMENTS:
-        cases.append(CaseSpec(test=_mixed_store_test(tag, locations)))
+        cases.append(CheckSpec(test=_mixed_store_test(tag, locations)))
 
     # 3) Under-provisioned look-up tables (stall paths must stay safe
     #    and deadlock-free).
@@ -363,14 +387,14 @@ def custom_tests() -> List[CaseSpec]:
         for shape in (_mp, _isa2):
             base = shape(dict(locations), tag)
             test = replace(base, name=base.name + ".tiny")
-            cases.append(CaseSpec(test=test, cord_config=_TINY))
+            cases.append(CheckSpec(test=test, cord_config=_TINY))
 
     # 4) Epoch-number and store-counter overflow.
     for tag, locations in _PLACEMENTS:
-        cases.append(CaseSpec(
+        cases.append(CheckSpec(
             test=_overflow_test(tag, dict(locations)), cord_config=_TINY,
         ))
-        cases.append(CaseSpec(
+        cases.append(CheckSpec(
             test=_counter_overflow_test(tag, dict(locations)),
             cord_config=_TINY,
         ))
@@ -387,7 +411,7 @@ def custom_tests() -> List[CaseSpec]:
             forbidden=[{"P1:r1": 1, "P1:r2": 0}],
         )
         for protocol in ("cord", "so"):
-            cases.append(CaseSpec(test=tso_mp, protocol=protocol, tso=True))
+            cases.append(CheckSpec(test=tso_mp, protocol=protocol, tso=True))
 
     return cases
 
@@ -397,11 +421,11 @@ def _protocol_assignments(threads: int) -> List[Tuple[str, ...]]:
     return list(itertools.product(("cord", "so"), repeat=threads))
 
 
-def full_suite() -> List[CaseSpec]:
+def full_suite() -> List[CheckSpec]:
     """Classic shapes under CORD and SO, plus all custom cases."""
-    cases: List[CaseSpec] = []
+    cases: List[CheckSpec] = []
     for test in classic_tests():
         for protocol in ("cord", "so"):
-            cases.append(CaseSpec(test=test, protocol=protocol))
+            cases.append(CheckSpec(test=test, protocol=protocol))
     cases.extend(custom_tests())
     return cases

@@ -23,9 +23,9 @@ guard/action table, so its messages-only spec declares its actor pair.
 
 from __future__ import annotations
 
-import re
 from typing import Tuple, Type
 
+from repro.protocols.spec import named_protocols, parse_seq_bits
 from repro.protocols.table import table_protocol_classes
 
 __all__ = [
@@ -35,12 +35,10 @@ __all__ = [
     "validate_checkable_protocol",
 ]
 
-_NAMED = ("so", "cord", "cord-nonotify", "mp", "wb", "tardis")
+_NAMED = named_protocols()
 
 #: Known protocols the model checker has no untimed model for.
 _TIMED_ONLY = ("cord-nonotify", "wb")
-
-_SEQ_PATTERN = re.compile(r"^seq(\d+)$")
 
 
 def protocol_classes(name: str) -> Tuple[Type, Type]:
@@ -50,15 +48,10 @@ def protocol_classes(name: str) -> Tuple[Type, Type]:
     choices) and out-of-range ``seq<k>`` widths — at factory time, never
     deep inside actor construction.
     """
-    match = _SEQ_PATTERN.match(name)
-    if name not in _NAMED and not match:
+    if name not in _NAMED and parse_seq_bits(name) is None:
         raise ValueError(
             f"unknown protocol {name!r}; choose from {available_protocols()}"
         )
-    if match:
-        bits = int(match.group(1))
-        if not 1 <= bits <= 64:
-            raise ValueError(f"seq bit-width out of range: {bits}")
     return table_protocol_classes(name)
 
 
@@ -80,11 +73,7 @@ def validate_checkable_protocol(name: str) -> None:
     checked (previously an ``AttributeError`` deep inside exploration)."""
     if name in ("so", "cord", "mp", "tardis"):
         return
-    match = _SEQ_PATTERN.match(name)
-    if match:
-        bits = int(match.group(1))
-        if not 1 <= bits <= 64:
-            raise ValueError(f"seq bit-width out of range: {bits}")
+    if parse_seq_bits(name) is not None:
         return
     detail = "is timed-only" if name in _TIMED_ONLY else "is unknown"
     raise ValueError(

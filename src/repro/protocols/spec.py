@@ -59,6 +59,7 @@ bug shape, eliminated structurally.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -75,6 +76,8 @@ __all__ = [
     "ProtocolSpec",
     "get_spec",
     "spec_protocols",
+    "named_protocols",
+    "parse_seq_bits",
     "has_spec",
     "fifo_key_for",
     "ample_kinds",
@@ -1235,14 +1238,34 @@ TARDIS_SPEC = ProtocolSpec(
 )
 
 
-_SPECS: Dict[str, ProtocolSpec] = {
-    "so": SO_SPEC,
-    "cord": CORD_SPEC,
-    "cord-nonotify": CORD_NONOTIFY_SPEC,
-    "mp": MP_SPEC,
-    "wb": WB_SPEC,
-    "tardis": TARDIS_SPEC,
-}
+#: The fixed-name tables, in the order protocol listings use.  ``seq<k>``
+#: tables are built on first use and cached in ``_SPECS`` beside them.
+_NAMED_SPECS = (SO_SPEC, CORD_SPEC, CORD_NONOTIFY_SPEC, MP_SPEC, WB_SPEC,
+                TARDIS_SPEC)
+_SPECS: Dict[str, ProtocolSpec] = {spec.name: spec for spec in _NAMED_SPECS}
+
+#: ``seq<k>`` with ``k`` in decimal and no leading zeros.
+_SEQ_NAME = re.compile(r"seq(0|[1-9][0-9]*)")
+
+
+def named_protocols() -> Tuple[str, ...]:
+    """Every protocol name with a fixed table (all but ``seq<k>``)."""
+    return tuple(spec.name for spec in _NAMED_SPECS)
+
+
+def parse_seq_bits(protocol: str) -> Optional[int]:
+    """The width ``k`` of a ``seq<k>`` protocol name; None for any name
+    not of that form (``seq007`` is not: ``k`` has no leading zeros).
+
+    Raises :class:`ValueError` when ``k`` is outside 1..64.
+    """
+    match = _SEQ_NAME.fullmatch(protocol)
+    if match is None:
+        return None
+    bits = int(match.group(1))
+    if not 1 <= bits <= 64:
+        raise ValueError(f"seq bit-width out of range: {bits}")
+    return bits
 
 
 def get_spec(protocol: str) -> ProtocolSpec:
@@ -1250,11 +1273,14 @@ def get_spec(protocol: str) -> ProtocolSpec:
     spec = _SPECS.get(protocol)
     if spec is not None:
         return spec
-    if protocol.startswith("seq") and protocol[3:].isdigit():
-        bits = int(protocol[3:])
-        spec = _SPECS[protocol] = _make_seq_spec(bits)
-        return spec
-    raise KeyError(f"no transition table for protocol {protocol!r}")
+    try:
+        bits = parse_seq_bits(protocol)
+    except ValueError:
+        bits = None
+    if bits is None:
+        raise KeyError(f"no transition table for protocol {protocol!r}")
+    spec = _SPECS[protocol] = _make_seq_spec(bits)
+    return spec
 
 
 def has_spec(protocol: str, rules: bool = True) -> bool:
@@ -1290,8 +1316,6 @@ def fifo_class_for(kind: str,
     registry is searched in declaration order.
     """
     if protocol is not None:
-        if protocol.startswith("seq"):
-            protocol = "seq8"
         message = get_spec(protocol).messages.get(kind)
         if message is not None:
             return message.fifo

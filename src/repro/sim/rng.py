@@ -1,7 +1,7 @@
 """Deterministic random number generation.
 
 All stochastic choices in the reproduction (workload address streams,
-model-checker random walks, jittered compute times) draw from a
+generated litmus programs, jittered compute times, fault draws) draw from a
 :class:`DeterministicRng` so runs are exactly reproducible from a seed.
 """
 

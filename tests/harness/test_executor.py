@@ -6,7 +6,9 @@ import json
 import pytest
 
 from repro.config import CXL, CordConfig, SystemConfig
+from repro.faults import parse_faults
 from repro.harness import (
+    CheckSpec,
     Executor,
     RunSpec,
     SweepError,
@@ -19,11 +21,23 @@ from repro.harness import (
 from repro.harness.executor import _execute_spec, code_version
 from repro.sim import DeadlockError
 from repro.harness.experiments import default_config, run_micro
+from repro.litmus import LitmusTest, ld, poll_acq, st, st_rel
 from repro.workloads.micro import MicroSpec
+from repro.workloads.openloop import OpenLoopSpec
 from repro.workloads.table2 import APPLICATIONS
 
 MICRO = MicroSpec(store_granularity=64, sync_granularity=1024,
                   fanout=1, total_bytes=4 * 1024)
+
+LITMUS_MP = LitmusTest(
+    name="MP",
+    locations={"X": 2, "Y": 1},
+    programs=[
+        [st("X", 1), st_rel("Y", 1)],
+        [poll_acq("Y", 1, "r1"), ld("X", "r2")],
+    ],
+    forbidden=[{"P1:r1": 1, "P1:r2": 0}],
+)
 
 
 def sim_dict(record):
@@ -74,6 +88,77 @@ class TestSpecKey:
         assert spec.effective_seed == micro_spec(seed=None).effective_seed
         assert (spec.effective_seed
                 != micro_spec(seed=None, protocol="so").effective_seed)
+
+
+class TestPinnedKeys:
+    """Cache keys (``version="pin"``) and derived seeds recorded for a
+    handful of specs.  Canonicalization feeds both, so a change to it that
+    moved a derived seed would move simulated results; it must not."""
+
+    CONFIG = default_config(CXL, hosts=2, cores_per_host=1)
+    #: name -> (RunSpec fields, key at ``version="pin"``, derived seed).
+    RUNS = {
+        "app": (
+            dict(kind="app", protocol="cord", workload=APPLICATIONS["CR"]),
+            "0d940cff62d7e6dab0215bdeef126fdb812dc551866259b472a2dfdab96bfe76",
+            4085756589592194308),
+        "micro": (
+            dict(kind="micro", protocol="so", workload=MICRO),
+            "4c74f4cc41102f3c15da336666d9d8618518ea910a5934139940413d60a05631",
+            8826357288877320137),
+        "openloop": (
+            dict(kind="openloop", protocol="tardis",
+                 workload=OpenLoopSpec(requests=8)),
+            "fc7b18f00f3860f5a2237fb626a084988a9457fd717702c3ee2c6ed10516111b",
+            5096412835184877376),
+        "traced": (
+            dict(kind="micro", protocol="cord", workload=MICRO, trace=True),
+            "c0aafe41c6bdce882bc19cebfdfdec25f80054858a127fbe0cefda4a27e2913a",
+            3258715457279352481),
+        "faulted": (
+            dict(kind="micro", protocol="cord", workload=MICRO,
+                 faults=parse_faults("drop+dup")),
+            "c9870380424e117447bfd1f0ebde2b58249e6b49d49b437f43154f4a039d1870",
+            6228366710240699164),
+    }
+    #: name -> (CheckSpec fields besides the test, key at ``version="pin"``).
+    CHECKS = {
+        "default": (
+            {},
+            "6db2f7132d3819c0005509b6c275d9a84d8c6f74fb5aef30fe51765335218b7b",
+        ),
+        "tiny": (
+            dict(cord_config=CordConfig(epoch_bits=2, counter_bits=2)),
+            "adfc2e7d304fd8a574d07d852729b61f1b1873c7bd9e42efb4b2dbcefd7e0f17",
+        ),
+        "tso": (
+            dict(protocol="so", tso=True),
+            "40b9dfe60cd1dfc62b92548cde4a7cb19dd3338fe0055b1d4f1941d5f30a7eee",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_run_spec_key_and_seed(self, name):
+        fields, key, seed = self.RUNS[name]
+        spec = RunSpec(config=self.CONFIG, **fields)
+        assert spec.seed is None
+        assert spec_key(spec, version="pin") == key
+        assert spec.effective_seed == seed
+
+    @pytest.mark.parametrize("name", sorted(CHECKS))
+    def test_check_spec_key(self, name):
+        fields, key = self.CHECKS[name]
+        assert spec_key(CheckSpec(test=LITMUS_MP, **fields),
+                        version="pin") == key
+
+    def test_check_spec_storage_fields_stay_out_of_the_key(self):
+        plain = CheckSpec(test=LITMUS_MP)
+        stored = CheckSpec(test=LITMUS_MP, visited_db="visited",
+                           spill_threshold=0)
+        assert stored == plain
+        assert spec_key(stored) == spec_key(plain)
+        assert (spec_key(stored, version="pin")
+                == self.CHECKS["default"][1])
 
 
 class TestRecord:

@@ -127,22 +127,41 @@ class TestCacheAndParallel:
         assert ([verdict_dict(r) for r in serial]
                 == [verdict_dict(r) for r in pooled])
 
-    def test_visited_db_setting_reuses_cache(self, tmp_path, monkeypatch):
-        """Storage knobs stay out of the spec key: a case checked in memory
+    def test_visited_db_setting_reuses_cache(self, tmp_path):
+        """Storage fields stay out of the spec key: a case checked in memory
         is a warm cache for the same case with a disk-backed visited set."""
         specs = [check_spec(ISA2)]
         cold = Executor(jobs=1, cache_dir=tmp_path / "cache")
         records = cold.map(specs)
         assert cold.misses == 1 and not records[0].cached
 
-        monkeypatch.setenv("REPRO_MODELCHECK_VISITED_DB",
-                           str(tmp_path / "visited"))
-        monkeypatch.setenv("REPRO_MODELCHECK_SPILL", "3")
+        spilling = [check_spec(ISA2, visited_db=str(tmp_path / "visited"),
+                               spill_threshold=3)]
         warm = Executor(jobs=1, cache_dir=tmp_path / "cache")
-        reused = warm.map(specs)
+        reused = warm.map(spilling)
         assert (warm.hits, warm.misses) == (1, 0)
         assert reused[0].cached
         assert reused[0].states_explored == records[0].states_explored
+
+    def test_pool_workers_spill_to_the_visited_db(self, tmp_path):
+        """The storage fields travel with the spec into pool workers: every
+        case spills, explores what an in-memory run explores, and removes
+        its scratch database."""
+        visited = tmp_path / "visited"
+        spilling = [dataclasses.replace(spec, visited_db=str(visited),
+                                        spill_threshold=0)
+                    for spec in self.SPECS]
+        pooled = Executor(jobs=2, cache_dir=None).map(spilling)
+        memory = Executor(jobs=1, cache_dir=None).map(self.SPECS)
+        assert all(r.stats["visited_spilled"] == 1.0 for r in pooled)
+        assert all(r.stats["visited_spilled"] == 0.0 for r in memory)
+
+        def verdicts(records):
+            return [{k: v for k, v in verdict_dict(r).items()
+                     if k != "stats"} for r in records]
+
+        assert verdicts(pooled) == verdicts(memory)
+        assert not visited.exists() or not any(visited.iterdir())
 
 
 class _RecordingExecutor(Executor):
@@ -185,8 +204,8 @@ class TestCheckSuiteSummary:
 
 class TestSuites:
     def test_quick_suite_is_curated_subset(self):
-        quick = {case.name for case in suite_cases("quick")}
-        full = {case.name for case in suite_cases("full")}
+        quick = {case.workload_label for case in suite_cases("quick")}
+        full = {case.workload_label for case in suite_cases("full")}
         assert quick and len(quick) < len(full)
         assert quick & full  # overlaps the full sweep (plus seq8 extras)
         assert any("@seq8" in name for name in quick)

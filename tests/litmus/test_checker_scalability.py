@@ -2,8 +2,8 @@
 
 Covers the incremental (copy-on-write) state cloning, the freeze
 memoization, the ``__slots__``-hardened canonicalizer, the partial-order
-reduction (differentially against unreduced exploration), and the
-exploration statistics.
+reduction (differentially against unreduced exploration), the exploration
+statistics, and one program well past litmus size explored exhaustively.
 """
 
 import copy
@@ -11,7 +11,10 @@ import sys
 
 import pytest
 
-from repro.litmus import LitmusTest, ModelChecker, ld, poll_acq, st, st_rel
+from repro.config import CordConfig
+from repro.litmus import (
+    LitmusTest, ModelChecker, faa, ld, poll_acq, st, st_rel,
+)
 from repro.litmus import model_checker as mc
 from repro.litmus.suite import full_suite
 from repro.sim.stats import StatRegistry
@@ -73,7 +76,7 @@ class TestPartialOrderReduction:
             with_por = ModelChecker(case.test, por=True, **kwargs).run()
             without = ModelChecker(case.test, por=False, **kwargs).run()
             if _verdict(with_por) != _verdict(without):
-                mismatches.append(case.name)
+                mismatches.append(case.workload_label)
         assert mismatches == []
 
     def test_por_can_be_disabled(self):
@@ -238,3 +241,39 @@ class TestExplorationStats:
         assert stats["modelcheck.frontier.max"] == max(
             first.stats["peak_frontier"], second.stats["peak_frontier"]
         )
+
+
+# ---------------------------------------------------------------------------
+# Programs past litmus size
+# ---------------------------------------------------------------------------
+class TestLongPrograms:
+    def test_long_program_explored_exhaustively(self):
+        """A longer 3-thread program with atomics and table pressure —
+        eight release pairs under tiny CORD tables — is still explored
+        exhaustively (about 4,000 states with POR and symmetry)."""
+        program0 = []
+        for index in range(1, 9):
+            program0.append(st("X", index))
+            program0.append(st_rel("Y", index))
+        big = LitmusTest(
+            name="big-chain",
+            locations={"X": 1, "Y": 1, "C": 2},
+            programs=[
+                program0,
+                [poll_acq("Y", 8, "r1"), ld("X", "r2"), faa("C", 1, "r3")],
+                [faa("C", 1, "r4")],
+            ],
+            forbidden=[{"P1:r1": 8, "P1:r2": 0}, {"mem:C": 1}],
+        )
+        tiny = CordConfig(
+            epoch_bits=3, counter_bits=4,
+            proc_unacked_epoch_entries=2,
+            dir_store_counter_entries_per_proc=4,
+            dir_notification_entries_per_proc=4,
+        )
+        result = ModelChecker(big, protocol="cord", cord_config=tiny).run()
+        assert result.complete and result.passed
+        assert result.outcomes
+        # The final X must be the last value published before Y=8.
+        assert all(o["P1:r2"] == 8 for o in result.outcomes
+                   if o.get("P1:r1") == 8)

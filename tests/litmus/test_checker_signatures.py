@@ -1,7 +1,8 @@
 """Pinned model-checker signatures for the classic litmus suite.
 
 Every classic test is explored under ``so``, ``cord``, ``mp``, ``seq2`` and
-``tardis``, and in TSO mode under ``so`` and ``cord``.  Each exploration's
+``tardis``, in TSO mode under ``so`` and ``cord``, and in SC mode under all
+five.  Each exploration's
 signature -- states, transitions, visited-set hits, deadlocks and the sorted
 set of final outcomes -- is compared against ``tests/data/
 checker_signatures.json``.  The pins are recorded data, not a second
@@ -30,20 +31,25 @@ from repro.litmus.suite import classic_tests
 EXPECTED_PATH = (Path(__file__).resolve().parent.parent / "data"
                  / "checker_signatures.json")
 
-#: ``(label prefix, protocol, tso)`` per exploration mode.
+#: ``(label prefix, protocol, tso, sc)`` per exploration mode.
 MODES = (
-    ("so", "so", False),
-    ("cord", "cord", False),
-    ("mp", "mp", False),
-    ("seq2", "seq2", False),
-    ("tardis", "tardis", False),
-    ("so+tso", "so", True),
-    ("cord+tso", "cord", True),
+    ("so", "so", False, False),
+    ("cord", "cord", False, False),
+    ("mp", "mp", False, False),
+    ("seq2", "seq2", False, False),
+    ("tardis", "tardis", False, False),
+    ("so+tso", "so", True, False),
+    ("cord+tso", "cord", True, False),
+    ("so+sc", "so", False, True),
+    ("cord+sc", "cord", False, True),
+    ("mp+sc", "mp", False, True),
+    ("seq2+sc", "seq2", False, True),
+    ("tardis+sc", "tardis", False, True),
 )
 
 CASES = [
-    (f"{prefix}/{test.name}", test, protocol, tso)
-    for prefix, protocol, tso in MODES
+    (f"{prefix}/{test.name}", test, protocol, tso, sc)
+    for prefix, protocol, tso, sc in MODES
     for test in classic_tests()
 ]
 
@@ -52,9 +58,10 @@ def _updating() -> bool:
     return bool(os.environ.get("REPRO_UPDATE_SIGNATURES"))
 
 
-def signature(test, protocol: str, tso: bool) -> dict:
+def signature(test, protocol: str, tso: bool, sc: bool) -> dict:
     """The pinned fields of one exploration."""
-    result = ModelChecker(test, protocol, tso=tso, max_states=200_000).run()
+    result = ModelChecker(test, protocol, tso=tso, sc=sc,
+                          max_states=200_000).run()
     return {
         "states": result.states_explored,
         "transitions": int(result.stats["transitions"]),
@@ -88,10 +95,11 @@ class TestCheckerSignatures:
         assert set(_expected()) == set(labels)
 
     @pytest.mark.parametrize(
-        "label,test,protocol,tso", CASES, ids=[label for label, *_ in CASES]
+        "label,test,protocol,tso,sc", CASES,
+        ids=[label for label, *_ in CASES]
     )
-    def test_signature_is_pinned(self, label, test, protocol, tso):
-        observed = signature(test, protocol, tso)
+    def test_signature_is_pinned(self, label, test, protocol, tso, sc):
+        observed = signature(test, protocol, tso, sc)
         if _updating():
             data = (json.loads(EXPECTED_PATH.read_text())
                     if EXPECTED_PATH.exists() else {})

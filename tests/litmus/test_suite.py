@@ -1,13 +1,12 @@
 """Tests for the litmus suites (fast subsets; the full sweep is a bench)."""
 
 from repro.harness.executor import Executor
-from repro.harness.modelcheck import make_specs
-from repro.litmus import CaseSpec, classic_tests, custom_tests
+from repro.litmus import CheckSpec, classic_tests, custom_tests
 
 
 def check(cases):
     """Model-check ``cases`` the way the CLI sweeps do, uncached."""
-    return Executor(jobs=1, cache_dir=None).map(make_specs(cases))
+    return Executor(jobs=1, cache_dir=None).map(cases)
 
 
 def failures(records):
@@ -24,7 +23,7 @@ class TestSuiteConstruction:
 
     def test_custom_covers_paper_axes(self):
         cases = custom_tests()
-        names = [c.name for c in cases]
+        names = [c.workload_label for c in cases]
         assert any("mix-" in n for n in names)          # mixed CORD/SO cores
         assert any("MIXED-OPS" in n for n in names)     # per-op mixing
         assert any(".tiny" in n for n in names)         # under-provisioning
@@ -42,25 +41,25 @@ class TestSuiteConstruction:
 class TestSubsetSweeps:
     def test_split_placement_classics_pass_under_cord(self):
         subset = [
-            CaseSpec(test=t, protocol="cord")
+            CheckSpec(test=t, protocol="cord")
             for t in classic_tests() if t.name.endswith(".split")
         ]
         assert failures(check(subset)) == []
 
     def test_spread_placement_classics_pass_under_so(self):
         subset = [
-            CaseSpec(test=t, protocol="so")
+            CheckSpec(test=t, protocol="so")
             for t in classic_tests() if t.name.endswith(".spread")
         ]
         assert failures(check(subset)) == []
 
     def test_overflow_customs_pass(self):
-        subset = [c for c in custom_tests() if "WRAP" in c.name][:4]
+        subset = [c for c in custom_tests() if "WRAP" in c.workload_label][:4]
         assert subset
         assert failures(check(subset)) == []
 
     def test_report_counts(self):
-        subset = [CaseSpec(test=classic_tests()[0])]
+        subset = [CheckSpec(test=classic_tests()[0])]
         records = check(subset)
         assert len(records) == 1
         assert records[0].states_explored > 0

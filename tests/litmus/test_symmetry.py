@@ -11,7 +11,7 @@ import pytest
 
 from repro.litmus.dsl import LitmusTest, faa, ld, ld_acq, st, st_rel
 from repro.litmus.model_checker import ModelChecker
-from repro.litmus.suite import CaseSpec, classic_tests, full_suite
+from repro.litmus.suite import CheckSpec, classic_tests, full_suite
 from repro.harness.modelcheck import suite_cases
 
 
@@ -108,7 +108,7 @@ class TestSoundnessDifferential:
         nontrivial = 0
         for test in classic_tests():
             for protocol in ("cord", "so"):
-                case = CaseSpec(test=test, protocol=protocol)
+                case = CheckSpec(test=test, protocol=protocol)
                 reduced_checker = _checker(case, symmetry=True)
                 if reduced_checker._autos:
                     nontrivial += 1

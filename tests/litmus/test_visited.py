@@ -116,7 +116,8 @@ class TestDigestKeys:
 class TestCheckerSpill:
     def test_spilled_run_matches_in_memory_run(self, tmp_path):
         """Where the visited set lives changes nothing the checker reports."""
-        case = next(c for c in full_suite() if c.name == "ISA2.split@cord")
+        case = next(c for c in full_suite()
+                    if c.workload_label == "ISA2.split@cord")
 
         def check(**storage):
             return ModelChecker(case.test, protocol=case.protocol,

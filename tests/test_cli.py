@@ -57,7 +57,7 @@ class TestCli:
 
 class TestLitmusCli:
     def test_failing_sweep_exits_one(self, monkeypatch, capsys):
-        cases = [repro.litmus.CaseSpec(test=test, protocol="mp")
+        cases = [repro.litmus.CheckSpec(test=test, protocol="mp")
                  for test in repro.litmus.classic_tests()
                  if test.name.startswith("ISA2.")]
         monkeypatch.setattr(repro.litmus, "full_suite", lambda: cases)
@@ -84,6 +84,52 @@ class TestLitmusCli:
         warm = read_run_log(log)[len(cold):]
         assert len(warm) == len(cold)
         assert all(entry["cached"] for entry in warm)
+
+
+class TestModelcheckFlags:
+    """A flag that would change nothing is a usage error, not a no-op."""
+
+    def test_spill_threshold_needs_visited_db(self, capsys):
+        assert main(["modelcheck", "quick", "--no-cache",
+                     "--spill-threshold", "1"]) == 2
+        out = capsys.readouterr().out
+        assert "--spill-threshold" in out and "--visited-db" in out
+        assert "modelcheck[quick]" not in out  # nothing was checked
+
+    @pytest.mark.parametrize("flag", [
+        ["--gen-count", "3"], ["--gen-seed", "1"], ["--gen-threads", "3"],
+        ["--gen-locs", "3"], ["--gen-values", "3"], ["--gen-ops", "2"],
+        ["--gen-atomics"],
+    ], ids=lambda flag: flag[0])
+    def test_gen_flags_need_the_generated_suite(self, capsys, flag):
+        for suite in (["quick"], []):  # [] is the default full suite
+            assert main(["modelcheck", *suite, "--no-cache", *flag]) == 2
+            out = capsys.readouterr().out
+            assert flag[0] in out and "generated" in out
+            assert "modelcheck[" not in out
+
+    def test_gen_flags_shape_the_generated_suite(self, capsys):
+        assert main(["modelcheck", "generated", "--no-cache",
+                     "--gen-count", "2", "--gen-seed", "5",
+                     "--gen-ops", "2", "--gen-atomics"]) == 0
+        out = capsys.readouterr().out
+        assert "modelcheck[generated]: 6 cases" in out  # 2 tests x 3
+
+    def test_spilling_sweep_is_served_from_an_in_memory_cache(
+            self, tmp_path, capsys):
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        spill = ["--visited-db", str(tmp_path / "visited"),
+                 "--spill-threshold", "0"]
+        assert main(["modelcheck", "quick", *cache]) == 0
+        capsys.readouterr()
+        log = tmp_path / "warm.jsonl"
+        assert main(["modelcheck", "quick", *cache, *spill,
+                     "--run-log", str(log)]) == 0
+        assert "ALL PASSED" in capsys.readouterr().out
+        warm = read_run_log(log)
+        assert warm and all(entry["cached"] for entry in warm)
+        assert main(["modelcheck", "quick", "--no-cache", *spill]) == 0
+        assert "ALL PASSED" in capsys.readouterr().out
 
 
 class TestScaleCli:
