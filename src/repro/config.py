@@ -77,7 +77,12 @@ UPI = InterconnectConfig(name="UPI", inter_host_latency_ns=50.0)
 
 @dataclass(frozen=True)
 class MemoryConfig:
-    """Per-host memory (HBM4 in Table 1)."""
+    """Per-host memory (HBM4 in Table 1).
+
+    The simulator reads only ``size_bytes`` (each host's address region);
+    no DRAM timing is modelled.  The Table-1 timing fields stay because
+    :class:`SystemConfig` is part of every run's cache key and seed.
+    """
 
     size_bytes: int = 4 * 1024**3
     channels: int = 8

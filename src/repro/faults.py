@@ -11,7 +11,8 @@ for the timed simulator:
   periodic bandwidth-degradation windows (:class:`DegradeSpec`), link
   flaps (:class:`FlapSpec`) and per-node stall windows (:class:`StallSpec`).
 * :class:`FaultInjector` — the per-machine runtime consulted by
-  :meth:`repro.interconnect.network.Network.send` for every message.  All
+  :meth:`repro.interconnect.network.Network.send` for every message
+  (only through the hooks its plan can act through).  All
   randomness comes from one :class:`~repro.sim.rng.DeterministicRng`
   stream derived from the machine seed and the plan seed, so the same
   (seed, plan) pair always injects the same faults; every injection is
@@ -147,7 +148,8 @@ class FaultPlan:
     the cache key and of the derived seed — faults are *physical*, unlike
     tracing).  ``seed`` decorrelates the injector's random stream from the
     machine seed; ``dedup_bits`` sizes the wire sequence numbers used for
-    duplicate suppression.
+    duplicate suppression: at least 2, since with one bit :func:`unwrap`
+    ties and every in-order message after the first reads as a repeat.
     """
 
     drop: Optional[DropSpec] = None
@@ -157,6 +159,11 @@ class FaultPlan:
     stalls: Tuple[StallSpec, ...] = ()
     seed: int = 0
     dedup_bits: int = 16
+
+    def __post_init__(self) -> None:
+        if self.dedup_bits < 2:
+            raise ValueError(
+                f"dedup_bits must be at least 2, got {self.dedup_bits}")
 
     @property
     def enabled(self) -> bool:
@@ -226,15 +233,21 @@ class DedupFilter:
     sequence number, transmitted wrapped to ``bits`` (the same
     :mod:`repro.core.seqnum` arithmetic the protocol metadata uses).
     Per-pair FIFO delivery means in-order first arrivals; a redelivery
-    repeats an already-accepted value and is rejected.
+    repeats an already-accepted value and is rejected.  The in-order case
+    (the wire value after the last accepted one) skips :func:`unwrap`,
+    which for ``bits >= 2`` returns exactly ``last + 1`` there.
     """
 
     def __init__(self, bits: int) -> None:
         self.bits = bits
+        self._mask = (1 << bits) - 1
         self._last: Dict[Any, int] = {}
 
     def accept(self, src_key: Any, wire_seq: int) -> bool:
         last = self._last.get(src_key, 0)
+        if wire_seq == (last + 1) & self._mask:
+            self._last[src_key] = last + 1
+            return True
         value = unwrap(wire_seq, last, self.bits)
         if value <= last:
             return False
@@ -252,6 +265,14 @@ class FaultInjector:
     counters and per-endpoint :class:`DedupFilter`s.  The network consults
     it per send; ``Core.handle`` / ``DirectoryNode.handle`` consult
     :meth:`accept` per delivery.
+
+    A link-side hook is called only when its ``has_*`` flag says the plan
+    contains its scenario: :meth:`link_ready_ns` needs an active flap,
+    :meth:`serialization_factor` a degrade window, :meth:`release_ns` a
+    stall window, and :meth:`retry_delay_ns` drops (cross-host sends
+    only).  A hook left uncalled would have returned its input unchanged
+    without drawing from the RNG, so the draws that remain keep their
+    order.
     """
 
     def __init__(self, plan: FaultPlan, sim, stats, trace=None,
@@ -264,6 +285,16 @@ class FaultInjector:
         self._rng = DeterministicRng(seed).child(f"faults.{plan.seed}")
         self._seq: Dict[Tuple[Any, Any], int] = {}
         self._filters: Dict[Any, DedupFilter] = {}
+        self._flaps = tuple(flap for flap in plan.flaps
+                            if flap.period_ns > 0 and flap.down_ns > 0)
+        self._stalls = tuple(stall for stall in plan.stalls
+                             if stall.duration_ns > 0)
+        degrade = plan.degrade
+        self.has_flaps = bool(self._flaps)
+        self.has_degrade = (degrade is not None and degrade.period_ns > 0
+                            and degrade.factor != 1.0)
+        self.has_drops = plan.drop is not None and plan.drop.rate > 0
+        self.has_stalls = bool(self._stalls)
 
     # -- shared plumbing ----------------------------------------------
     def _count(self, name: str, amount: float = 1.0) -> None:
@@ -280,9 +311,7 @@ class FaultInjector:
     def link_ready_ns(self, message, depart: float) -> float:
         """Flap windows: delay departure until the egress link is up."""
         delayed = depart
-        for flap in self.plan.flaps:
-            if flap.period_ns <= 0 or flap.down_ns <= 0:
-                continue
+        for flap in self._flaps:
             if flap.host >= 0 and message.src.host != flap.host:
                 continue
             phase = (delayed - flap.offset_ns) % flap.period_ns
@@ -297,8 +326,6 @@ class FaultInjector:
     def serialization_factor(self, message, depart: float) -> float:
         """Bandwidth-degradation windows: slow serialization while inside."""
         spec = self.plan.degrade
-        if spec is None or spec.period_ns <= 0 or spec.factor == 1.0:
-            return 1.0
         phase = (depart - spec.offset_ns) % spec.period_ns
         if 0 <= phase < spec.window_ns:
             self._count("degrade")
@@ -306,11 +333,10 @@ class FaultInjector:
             return spec.factor
         return 1.0
 
-    def retry_delay_ns(self, message, cross: bool) -> float:
-        """Transient loss: geometric retransmit latency (cross-host only)."""
+    def retry_delay_ns(self, message) -> float:
+        """Transient loss on a cross-host send: geometric retransmit
+        latency."""
         spec = self.plan.drop
-        if not cross or spec is None or spec.rate <= 0:
-            return 0.0
         delay = 0.0
         for _ in range(max(spec.max_retries, 1)):
             if self._rng.random() >= spec.rate:
@@ -326,9 +352,7 @@ class FaultInjector:
     def release_ns(self, message, arrival: float) -> float:
         """Per-node stall windows: hold deliveries to a stalled endpoint."""
         held = arrival
-        for stall in self.plan.stalls:
-            if stall.duration_ns <= 0:
-                continue
+        for stall in self._stalls:
             dst = message.dst
             if stall.kind and dst.kind != stall.kind:
                 continue

@@ -20,15 +20,17 @@ and ``traffic.inter_pod.*``; for ``pods == 1`` configs none of this code
 runs and results are byte-identical to the single-switch fabric (pinned by
 the state-hash basket).
 
-Delivery between a fixed (src-node, dst-node) pair is FIFO — messages
-between the same two endpoints arrive in send order — which matches real
-load/store interconnects and is the point-to-point ordering the MP
-(PCIe-like) protocol relies on.  A message that would overtake the pair's
-previous one is clamped to that message's arrival time and scheduled at
-exactly that time (``Simulator.schedule_at`` queues ``when`` itself), so
-the kernel's same-timestamp FIFO delivers the two in send order.
-Disjoint node pairs are independent even within one host: their mesh
-paths do not serialize against each other.
+Each (src-node, dst-node) pair gets a channel on its first send, which
+holds the destination handler, the route and the pair's last arrival, so
+a send costs one hash of the pair.  Delivery on a channel is FIFO —
+messages between the same two endpoints arrive in send order — which
+matches real load/store interconnects and is the point-to-point ordering
+the MP (PCIe-like) protocol relies on.  A message that would overtake the
+pair's previous one is clamped to that message's arrival time and
+scheduled at exactly that time (``Simulator.schedule_at`` queues ``when``
+itself), so the kernel's same-timestamp FIFO delivers the two in send
+order.  Disjoint node pairs are independent even within one host: their
+mesh paths do not serialize against each other.
 Protocol *correctness* under adversarial reordering is checked separately
 by the untimed model checker (``repro.litmus``).
 
@@ -37,17 +39,20 @@ recorded as a flight span (size/class/hops), every delivery as an instant,
 and pre-departure waits as stall spans against the source node — split by
 cause: time queued behind a busy egress port is ``egress_queue``; any
 further fault-induced hold (a link flap/down window) is ``fault.link_down``.
+Untraced deliveries call the channel's handler straight from the kernel.
 
-Fault-injected duplicates re-traverse the fabric like real retransmissions:
-a duplicate occupies the egress port, pays serialization, passes through
-the same fault holds as any first transmission (retry latency, per-node
-stall windows), and is accounted as a second message (endpoints later
-suppress it by wire sequence number).
+With a :class:`~repro.faults.FaultInjector` attached, a send calls only
+the hooks whose scenario the plan contains (the injector decides once, at
+construction).  Fault-injected duplicates re-traverse the fabric like real
+retransmissions: a duplicate occupies the egress port, pays serialization,
+passes through the same fault holds as any first transmission (link-down
+windows, retry latency, per-node stall windows), and is accounted as a
+second message (endpoints later suppress it by wire sequence number).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.config import SystemConfig
 from repro.interconnect.message import Message, NodeId
@@ -59,12 +64,23 @@ __all__ = ["Network"]
 Handler = Callable[[Message], None]
 
 
-class Network:
-    """Connects endpoint handlers through the Table-1 fabric.
+class _Channel:
+    """One (src, dst) node pair: its destination handler, route fields,
+    source host (egress port) and ``last``, the pair's latest arrival
+    (the FIFO clamp)."""
 
-    Every send looks up its memoized route and its FIFO clamp with one
-    ``(src, dst)`` key; node ids are tuples, so those lookups hash in C.
-    """
+    __slots__ = ("handler", "latency", "hops", "cross", "cross_pod", "host",
+                 "last")
+
+    def __init__(self, handler: Handler, route: tuple, host: int) -> None:
+        self.handler = handler
+        self.latency, self.hops, self.cross, self.cross_pod = route
+        self.host = host
+        self.last = 0.0
+
+
+class Network:
+    """Connects endpoint handlers through the Table-1 fabric."""
 
     def __init__(
         self,
@@ -79,8 +95,6 @@ class Network:
         self.sim = sim
         self.config = config
         self.topology = Topology(config)
-        # The topology's route memo, read directly on every send.
-        self._routes = self.topology.routes
         self.stats = stats if stats is not None else StatRegistry()
         #: Optional :class:`repro.trace.TraceCollector` (None = disabled).
         self.trace = trace
@@ -92,6 +106,11 @@ class Network:
         # attribute hops per send.
         self._serialize = config.interconnect.serialization_ns
         self._handlers: Dict[NodeId, Handler] = {}
+        # (src, dst) -> its channel.  The FIFO clamp is per *node* pair:
+        # keying on hosts would serialize disjoint same-host mesh paths
+        # against each other (all intra-host traffic would share one
+        # (h, h) key); per node pair is the ordering MP actually relies on.
+        self._channels: Dict[Tuple[NodeId, NodeId], _Channel] = {}
         # (cross, control, msg_type) -> tuple of Counter handles, so the
         # per-message accounting never re-resolves registry names (four
         # dict+format lookups per send) on the hot path.
@@ -115,11 +134,6 @@ class Network:
                 self.stats.counter("traffic.inter_pod.bytes"),
                 self.stats.counter("traffic.inter_pod.queue_ns"),
             )
-        # FIFO guarantee: last arrival time per (src, dst) *node* pair.
-        # Keying on hosts would serialize disjoint same-host mesh paths
-        # against each other (all intra-host traffic shares one (h, h)
-        # key); per node pair is the ordering MP actually relies on.
-        self._last_arrival: Dict[tuple, float] = {}
         # Optional per-message latency perturbation (timed litmus fuzzing).
         # Jitter is applied before the per-pair FIFO clamp, so same-path
         # ordering is preserved while cross-path races are explored.
@@ -136,27 +150,28 @@ class Network:
             raise ValueError(f"handler already registered for {node}")
         self._handlers[node] = handler
 
+    def _open(self, src: NodeId, dst: NodeId) -> _Channel:
+        handler = self._handlers.get(dst)
+        if handler is None:
+            raise KeyError(f"no handler registered for {dst}")
+        channel = self._channels[(src, dst)] = _Channel(
+            handler, self.topology.route(src, dst), src.host)
+        return channel
+
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
     def send(self, message: Message) -> float:
         """Inject ``message``; returns its arrival time."""
-        src = message.src
-        dst = message.dst
-        if dst not in self._handlers:
-            raise KeyError(f"no handler registered for {dst}")
-
-        faults = self.faults
-        # One (src, dst) key serves the route memo and the FIFO clamp.
-        pair = (src, dst)
-        route = self._routes.get(pair)
-        if route is None:
-            route = self.topology.route(src, dst)
-        latency, hops, cross, cross_pod = route
+        channel = self._channels.get((message.src, message.dst))
+        if channel is None:
+            channel = self._open(message.src, message.dst)
+        latency = channel.latency
         if self.latency_jitter > 0:
             factor = 1.0 + self.latency_jitter * (2.0 * self._rng.random() - 1.0)
             latency *= factor
 
+        faults = self.faults
         if faults is None and self.trace is None:
             # Fast path: the default (untraced, unfaulted) configuration.
             # Identical arithmetic to the general path below with every
@@ -164,25 +179,25 @@ class Network:
             # basket (tests/test_state_hash.py) proves byte-equivalence.
             sim = self.sim
             now = sim.now
-            if cross:
-                host = src.host
+            if channel.cross:
+                host = channel.host
                 port_free = self._egress_free.get(host, 0.0)
                 depart = port_free if port_free > now else now
                 finish = depart + self._serialize(message.size_bytes)
                 self._egress_free[host] = finish
-                if cross_pod:
+                if channel.cross_pod:
                     finish = self._pod_transit(message, finish)
                 arrival = finish + latency
             else:
                 arrival = now + latency
-            last = self._last_arrival.get(pair, 0.0)
-            if last > arrival:
-                arrival = last
-            self._last_arrival[pair] = arrival
-            self._account(message, cross)
-            sim.schedule_at(arrival, self._deliver, message)
+            if channel.last > arrival:
+                arrival = channel.last
+            channel.last = arrival
+            self._account(message, channel.cross)
+            sim.schedule_at(arrival, channel.handler, message)
             return arrival
 
+        cross = channel.cross
         depart = self.sim.now
         # Portion of the pre-departure wait that is genuine egress-port
         # contention; anything past it is fault-induced (link down).
@@ -190,17 +205,18 @@ class Network:
         serialization = 0.0
 
         if cross:
-            serialization = self.config.interconnect.serialization_ns(
-                message.size_bytes
-            )
-            port_free = self._egress_free.get(src.host, 0.0)
+            serialization = self._serialize(message.size_bytes)
+            port_free = self._egress_free.get(channel.host, 0.0)
             queue_until = depart = max(self.sim.now, port_free)
             if faults is not None:
-                depart = faults.link_ready_ns(message, depart)
-                serialization *= faults.serialization_factor(message, depart)
+                if faults.has_flaps:
+                    depart = faults.link_ready_ns(message, depart)
+                if faults.has_degrade:
+                    serialization *= faults.serialization_factor(message,
+                                                                 depart)
             finish = depart + serialization
-            self._egress_free[src.host] = finish
-            if cross_pod:
+            self._egress_free[channel.host] = finish
+            if channel.cross_pod:
                 finish = self._pod_transit(message, finish)
             arrival = finish + latency
         else:
@@ -209,13 +225,15 @@ class Network:
         if faults is not None:
             # Transient loss (retry latency) and per-node stall windows
             # apply before the FIFO clamp, so same-pair ordering holds.
-            arrival += faults.retry_delay_ns(message, cross)
-            arrival = faults.release_ns(message, arrival)
+            if cross and faults.has_drops:
+                arrival += faults.retry_delay_ns(message)
+            if faults.has_stalls:
+                arrival = faults.release_ns(message, arrival)
             faults.assign_seq(message)
 
         # Enforce per node-pair FIFO delivery.
-        arrival = max(arrival, self._last_arrival.get(pair, 0.0))
-        self._last_arrival[pair] = arrival
+        arrival = max(arrival, channel.last)
+        channel.last = arrival
 
         self._account(message, cross)
         if self.trace:
@@ -229,8 +247,12 @@ class Network:
                 # not port contention; attribute it separately.
                 self.trace.stall(str(message.src), "fault.link_down",
                                  queue_until, depart)
-            self.trace.message_send(message, depart, arrival, cross, hops)
-        self.sim.schedule_at(arrival, self._deliver, message)
+            self.trace.message_send(message, depart, arrival, cross,
+                                    channel.hops)
+            self.sim.schedule_at(arrival, self._deliver, channel.handler,
+                                 message)
+        else:
+            self.sim.schedule_at(arrival, channel.handler, message)
 
         if faults is not None:
             dup_delay = faults.duplicate_delay_ns(message)
@@ -240,10 +262,13 @@ class Network:
                 # and arrives after it (FIFO-preserving); endpoints dedup
                 # it by seq.
                 if cross:
-                    dup_depart = self._egress_free.get(src.host, 0.0)
+                    dup_depart = self._egress_free.get(channel.host, 0.0)
+                    if faults.has_flaps:
+                        # It leaves the port only while the link is up.
+                        dup_depart = faults.link_ready_ns(message, dup_depart)
                     dup_finish = dup_depart + serialization
-                    self._egress_free[src.host] = dup_finish
-                    if cross_pod:
+                    self._egress_free[channel.host] = dup_finish
+                    if channel.cross_pod:
                         dup_finish = self._pod_transit(message, dup_finish)
                     dup_arrival = max(dup_finish + latency,
                                       arrival + dup_delay)
@@ -255,24 +280,29 @@ class Network:
                 # respect the destination's stall windows.  Skipping these
                 # holds let a duplicate arrive *inside* a window its
                 # original was held out of.
-                dup_arrival += faults.retry_delay_ns(message, cross)
-                dup_arrival = faults.release_ns(message, dup_arrival)
+                if cross and faults.has_drops:
+                    dup_arrival += faults.retry_delay_ns(message)
+                if faults.has_stalls:
+                    dup_arrival = faults.release_ns(message, dup_arrival)
                 # FIFO: never before the original (the holds only add
                 # delay, but retry applies to the dup alone, so re-clamp).
-                dup_arrival = max(dup_arrival, self._last_arrival[pair])
-                self._last_arrival[pair] = dup_arrival
+                dup_arrival = max(dup_arrival, channel.last)
+                channel.last = dup_arrival
                 self._account(message, cross)
                 if self.trace:
                     self.trace.message_send(
-                        message, dup_depart, dup_arrival, cross, hops
+                        message, dup_depart, dup_arrival, cross, channel.hops
                     )
-                self.sim.schedule_at(dup_arrival, self._deliver, message)
+                    self.sim.schedule_at(dup_arrival, self._deliver,
+                                         channel.handler, message)
+                else:
+                    self.sim.schedule_at(dup_arrival, channel.handler,
+                                         message)
         return arrival
 
-    def _deliver(self, message: Message) -> None:
-        if self.trace:
-            self.trace.message_deliver(message, self.sim.now)
-        self._handlers[message.dst](message)
+    def _deliver(self, handler: Handler, message: Message) -> None:
+        self.trace.message_deliver(message, self.sim.now)
+        handler(message)
 
     # ------------------------------------------------------------------
     # Two-level fabric (pods > 1 only)

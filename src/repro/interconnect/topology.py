@@ -22,17 +22,15 @@ class Topology:
     Routes are static for a given config, so every per-pair query is
     memoized: the first lookup of a (src, dst) pair computes latency, hop
     count and host-crossing together; subsequent lookups are one dict hit.
-    ``Network.send`` sits on the simulator's hottest path and performs all
-    three queries per message, so this cache matters (see DESIGN.md's
-    performance-model note).
+    ``Network`` calls :meth:`route` once per node pair, when it opens the
+    pair's channel, and keeps the result there; sends do not read
+    :attr:`routes`.
     """
 
     def __init__(self, config: SystemConfig) -> None:
         self.config = config
         # (src, dst) -> (latency_ns, hop_count, crosses_hosts, crosses_pods);
-        # lazy.  ``Network.send`` reads it directly with the (src, dst)
-        # key it also uses for the FIFO clamp, and calls :meth:`route`
-        # only on a miss.
+        # lazy.
         self.routes: Dict[
             Tuple[NodeId, NodeId], Tuple[float, int, bool, bool]
         ] = {}

@@ -1,8 +1,7 @@
-"""Memory substrate: address mapping, caches, DRAM, and LLC slices."""
+"""Memory substrate: address mapping, private caches and LLC slices."""
 
 from repro.memory.address import AddressMap
 from repro.memory.cache import CacheLine, Eviction, MesiState, SetAssocCache
-from repro.memory.dram import Dram
 from repro.memory.llc import DirectoryEntry, DirEntryState, LlcSlice
 
 __all__ = [
@@ -11,7 +10,6 @@ __all__ = [
     "CacheLine",
     "Eviction",
     "MesiState",
-    "Dram",
     "LlcSlice",
     "DirectoryEntry",
     "DirEntryState",

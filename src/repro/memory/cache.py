@@ -1,9 +1,9 @@
 """Set-associative cache with MESI line states and LRU replacement.
 
-This single model backs the private L1/L2 caches (used by the write-back
-protocol and by loads) and the LLC slices.  It tracks *state*, not data
-values — the timed simulator measures latency and traffic; value-level
-correctness is the model checker's job (``repro.litmus``).
+This model backs the write-back protocol's private cache.  It tracks
+*state*, not data values — the timed simulator measures latency and
+traffic; value-level correctness is the model checker's job
+(``repro.litmus``).
 """
 
 from __future__ import annotations
@@ -54,9 +54,9 @@ class SetAssocCache:
         self.sets = config.sets
         self.ways = config.ways
         # Each set is an OrderedDict: line_addr -> CacheLine, LRU-first,
-        # built by the first insert into it.  ``None`` is an empty set: a
-        # 2 MiB LLC slice has 4,096 sets and most runs touch few of them,
-        # so building them all up front dominated machine construction.
+        # built by the first insert into it.  ``None`` is an empty set:
+        # most runs touch few sets, so building them all up front
+        # dominated machine construction.
         self._sets: List[Optional["OrderedDict[int, CacheLine]"]] = (
             [None] * self.sets)
         self.hits = 0

@@ -2,7 +2,9 @@
 
 Each slice is the *commit point* for write-through stores whose home it is
 (§2.1), and for the write-back protocol it tracks line ownership/sharers the
-way a classic MESI directory does.
+way a classic MESI directory does.  A slice's access time is the owning
+directory's fixed ``service_ns``; no tag or DRAM state is modelled, because
+no result would read it.
 """
 
 from __future__ import annotations
@@ -11,9 +13,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set
 
-from repro.config import CacheConfig, MemoryConfig
-from repro.memory.cache import MesiState, SetAssocCache
-from repro.memory.dram import Dram
+from repro.config import CacheConfig
 
 __all__ = ["DirEntryState", "DirectoryEntry", "LlcSlice"]
 
@@ -34,48 +34,23 @@ class DirectoryEntry:
 
 
 class LlcSlice:
-    """One LLC slice: set-associative storage + per-line directory entries."""
+    """One LLC slice: its write-through commit count (priced by
+    :mod:`repro.overheads.energy`) and per-line directory entries."""
 
-    def __init__(
-        self,
-        cache_config: CacheConfig,
-        memory_config: MemoryConfig,
-    ) -> None:
-        self.storage = SetAssocCache(cache_config)
-        self.dram = Dram(memory_config)
+    def __init__(self, cache_config: CacheConfig) -> None:
+        self.line_bytes = cache_config.line_bytes
         self._directory: Dict[int, DirectoryEntry] = {}
-        self.latency_cycles = cache_config.latency_cycles
         self.write_through_commits = 0
-        self.bytes_committed = 0
+
+    def line_address(self, addr: int) -> int:
+        return addr - (addr % self.line_bytes)
 
     # ------------------------------------------------------------------
     # Write-through commit point
     # ------------------------------------------------------------------
-    def commit_write_through(self, addr: int, size_bytes: int) -> float:
-        """Commit a write-through store; returns extra latency beyond the
-        slice access (DRAM traffic on miss/eviction)."""
+    def commit_write_through(self) -> None:
+        """Count one write-through store (or barrier) committed here."""
         self.write_through_commits += 1
-        self.bytes_committed += size_bytes
-        extra_ns = 0.0
-        line_addr = self.storage.line_address(addr)
-        if not self.storage.contains(line_addr):
-            eviction = self.storage.insert(line_addr, MesiState.MODIFIED)
-            if eviction is not None and eviction.dirty:
-                extra_ns += self.dram.write(self.storage.line_bytes)
-        else:
-            self.storage.set_state(line_addr, MesiState.MODIFIED)
-        return extra_ns
-
-    def read_line(self, addr: int) -> float:
-        """Serve a read; returns extra latency (DRAM fill on miss)."""
-        line_addr = self.storage.line_address(addr)
-        if self.storage.lookup(line_addr) is not None:
-            return 0.0
-        extra_ns = self.dram.read(self.storage.line_bytes)
-        eviction = self.storage.insert(line_addr, MesiState.EXCLUSIVE)
-        if eviction is not None and eviction.dirty:
-            extra_ns += self.dram.write(self.storage.line_bytes)
-        return extra_ns
 
     # ------------------------------------------------------------------
     # Directory entries (write-back protocol)

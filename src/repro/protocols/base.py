@@ -288,7 +288,8 @@ class DirectoryNode:
     # Commit point
     # ------------------------------------------------------------------
     def commit_store(self, message: Message) -> None:
-        """Make a store visible: update values, LLC state and the history."""
+        """Make a store visible: update values, the slice's commit count and
+        the history."""
         payload = message.payload
         addr = payload["addr"]
         if payload.get("values"):
@@ -296,7 +297,7 @@ class DirectoryNode:
             self.values.update(payload["values"])
         elif payload.get("value") is not None:
             self.values[addr] = payload["value"]
-        self.llc.commit_write_through(addr, payload.get("size", 8))
+        self.llc.commit_write_through()
         if not payload.get("barrier", False):
             self.machine.history.record(
                 core=payload["core"],
@@ -325,7 +326,7 @@ class DirectoryNode:
         old = self.values.get(addr, 0)
         new = atomic.apply(old, payload["value"], payload.get("compare"))
         self.values[addr] = new
-        self.llc.commit_write_through(addr, payload.get("size", 8))
+        self.llc.commit_write_through()
         self.machine.history.record(
             core=payload["core"],
             program_index=payload["program_index"],
@@ -359,7 +360,6 @@ class DirectoryNode:
     def on_load_req(self, message: Message) -> None:
         payload = message.payload
         addr = payload["addr"]
-        self.llc.read_line(addr)
         size = payload.get("size", 8)
         nbytes = self._load_resp_bytes.get(size)
         if nbytes is None:

@@ -235,7 +235,7 @@ class Machine:
     # Wiring helpers used by protocol actors
     # ------------------------------------------------------------------
     def new_llc_slice(self) -> LlcSlice:
-        return LlcSlice(self.config.llc_slice, self.config.memory)
+        return LlcSlice(self.config.llc_slice)
 
     def directory_id(self, index: int) -> NodeId:
         return self.directories[index].node_id

@@ -145,7 +145,7 @@ class _TimedDirCtx(DeliveryContext):
         self.node.commit_store(self.message)
 
     def commit_barrier(self) -> None:
-        self.node.llc.write_through_commits += 1
+        self.node.llc.commit_write_through()
 
     def perform_atomic(self, fields: Mapping[str, Any]) -> None:
         old = self.node.perform_atomic(self.message)
@@ -1048,7 +1048,7 @@ class CordDirectory(TableDirectory):
                 self.respond_atomic(message, old)
             elif meta.barrier:
                 # §4.4 escape / fence barrier: no value.
-                self.llc.write_through_commits += 1
+                self.llc.commit_write_through()
             else:
                 self.commit_store(message)
             self._ack_release(message.src, meta)
@@ -1178,7 +1178,6 @@ class TardisDirectory(TableDirectory):
         # (value, wts, rts) back — two extra timestamps on the wire.
         payload = message.payload
         addr = payload["addr"]
-        self.llc.read_line(addr)
         wts = self._tardis_wts.get(addr, 0)
         rts = max(self._tardis_rts.get(addr, 0), wts + TARDIS_LEASE)
         self._tardis_rts[addr] = rts

@@ -359,13 +359,13 @@ class WbDirectory(DirectoryNode):
         values = {
             addr: value
             for addr, value in self.values.items()
-            if line <= addr < line + self.llc.storage.line_bytes
+            if line <= addr < line + self.llc.line_bytes
         }
         self.network.send(Message(
             src=self.node_id,
             dst=message.src,
             msg_type="data_resp",
-            size_bytes=self.sizes.data_bytes(self.llc.storage.line_bytes),
+            size_bytes=self.sizes.data_bytes(self.llc.line_bytes),
             control=False,
             payload={
                 "req_id": message.payload["req_id"],
@@ -398,7 +398,7 @@ class WbDirectory(DirectoryNode):
             entry.state = DirEntryState.UNCACHED
             entry.owner = None
         self.values.update(payload.get("values", {}))
-        self.llc.commit_write_through(line, self.llc.storage.line_bytes)
+        self.llc.commit_write_through()
         self.network.send(Message(
             src=self.node_id,
             dst=message.src,
@@ -433,7 +433,6 @@ class WbDirectory(DirectoryNode):
             entry.owner = None
             entry.state = DirEntryState.SHARED
         else:
-            self.llc.read_line(line)
             entry.sharers.add(requester)
             if entry.state is DirEntryState.UNCACHED:
                 entry.state = DirEntryState.SHARED
@@ -452,8 +451,6 @@ class WbDirectory(DirectoryNode):
             self.values.update(values)
         elif entry.state is DirEntryState.SHARED:
             yield from self._invalidate_sharers(entry, line, exclude=requester)
-        else:
-            self.llc.read_line(line)
         entry.state = DirEntryState.OWNED
         entry.owner = requester
         entry.sharers = set()
@@ -462,7 +459,7 @@ class WbDirectory(DirectoryNode):
 
     def _wt_txn(self, message: Message) -> Generator:
         """Write-through flag store: invalidate sharers, commit, acknowledge."""
-        line = self.llc.storage.line_address(message.payload["addr"])
+        line = self.llc.line_address(message.payload["addr"])
         yield from self._lock(line)
         entry = self.llc.directory_entry(line)
         if entry.state is DirEntryState.OWNED and entry.owner is not None:
@@ -488,7 +485,7 @@ class WbDirectory(DirectoryNode):
     def _atomic_txn(self, message: Message) -> Generator:
         """Far atomic: reclaim the line from any owner/sharers, RMW at the
         LLC, respond with the old value."""
-        line = self.llc.storage.line_address(message.payload["addr"])
+        line = self.llc.line_address(message.payload["addr"])
         yield from self._lock(line)
         entry = self.llc.directory_entry(line)
         if entry.state is DirEntryState.OWNED and entry.owner is not None:

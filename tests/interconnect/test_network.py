@@ -50,6 +50,17 @@ class TestDelivery:
         with pytest.raises(KeyError):
             network.send(_msg(core, stranger))
 
+    def test_pair_delivers_once_its_destination_registers(self, setup):
+        sim, network, inbox, core, _, _ = setup
+        late = NodeId.directory(3, 1)
+        with pytest.raises(KeyError):
+            network.send(_msg(core, late))
+        network.register(late, inbox.append)
+        message = _msg(core, late)
+        network.send(message)
+        sim.run()
+        assert inbox == [message]
+
     def test_duplicate_registration_rejected(self, setup):
         _, network, _, core, _, _ = setup
         with pytest.raises(ValueError):
@@ -126,7 +137,7 @@ class TestAccounting:
 class TestFifoScope:
     """The FIFO clamp is per (src, dst) *node* pair, not per host pair.
 
-    Regression for a bug where ``_last_arrival`` was keyed on
+    Regression for a bug where the FIFO clamp was keyed on
     ``(src.host, dst.host)``: all intra-host traffic shared the ``(h, h)``
     key, so disjoint mesh paths within one host serialized against each
     other (a short 1-hop message could not overtake an unrelated 7-hop
@@ -182,6 +193,38 @@ class TestFifoScope:
         sim.run()
         assert [m.msg_type for m in inbox] == ["first", "second"]
         assert sim.now == arrival
+
+    def test_faulted_path_clamps_exactly_like_the_fast_path(self):
+        # The same overtaking pair of sends as above, once on the fast
+        # path and once through a fault injector whose only scenario (a
+        # far-off stall window) never holds anything: same arrivals, same
+        # delivery order.
+        from repro.faults import FaultInjector, FaultPlan, StallSpec
+        from repro.sim import StatRegistry
+
+        plan = FaultPlan(stalls=(StallSpec(start_ns=1e9, duration_ns=1.0),))
+
+        def deliveries(faulted):
+            sim, stats = Simulator(), StatRegistry()
+            config = SystemConfig().scaled(hosts=2, cores_per_host=2)
+            injector = FaultInjector(plan, sim, stats) if faulted else None
+            network = Network(sim, config, stats, latency_jitter=0.5,
+                              rng=_Draws(0.8674198235869027, 0.0),
+                              faults=injector)
+            src, dst = NodeId.core(0, 0), NodeId.directory(1, 0)
+            inbox = []
+            network.register(dst, lambda m: inbox.append((m.msg_type,
+                                                          sim.now)))
+            network.send(_msg(src, dst, msg_type="first"))
+            sim.schedule_at(2.065, network.send,
+                            _msg(src, dst, msg_type="second"))
+            sim.run()
+            return inbox
+
+        fast = deliveries(faulted=False)
+        assert [kind for kind, _ in fast] == ["first", "second"]
+        assert fast[0][1] == fast[1][1]          # the second was clamped
+        assert deliveries(faulted=True) == fast
 
     def test_disjoint_cross_host_pairs_not_clamped_to_each_other(self):
         sim, network = self._network()

@@ -1,40 +1,19 @@
 """Tests for the LLC slice + directory entries."""
 
-from repro.config import CacheConfig, MemoryConfig
+from repro.config import CacheConfig
 from repro.memory import DirEntryState, LlcSlice
 
 
 def make_slice():
-    return LlcSlice(CacheConfig(64 * 1024, 8, 8), MemoryConfig())
+    return LlcSlice(CacheConfig(64 * 1024, 8, 8))
 
 
 class TestWriteThroughCommit:
     def test_commit_counts_stores_and_bytes(self):
         slc = make_slice()
-        slc.commit_write_through(0x100, 64)
-        slc.commit_write_through(0x140, 8)
+        slc.commit_write_through()
+        slc.commit_write_through()
         assert slc.write_through_commits == 2
-        assert slc.bytes_committed == 72
-
-    def test_commit_installs_line_dirty(self):
-        slc = make_slice()
-        slc.commit_write_through(0x100, 64)
-        assert slc.storage.lookup(0x100).dirty
-
-    def test_commit_hit_has_no_dram_cost(self):
-        slc = make_slice()
-        slc.commit_write_through(0x100, 64)
-        assert slc.commit_write_through(0x100, 64) == 0.0
-
-    def test_read_miss_costs_dram(self):
-        slc = make_slice()
-        assert slc.read_line(0x5000) > 0.0
-        assert slc.dram.reads == 1
-
-    def test_read_hit_is_free(self):
-        slc = make_slice()
-        slc.read_line(0x5000)
-        assert slc.read_line(0x5000) == 0.0
 
 
 class TestDirectoryEntries:

@@ -16,6 +16,7 @@ import dataclasses
 import pytest
 
 from repro.config import CXL, SystemConfig
+from repro.core.seqnum import unwrap, wrap
 from repro.faults import (
     DedupFilter,
     DropSpec,
@@ -93,6 +94,14 @@ class TestPlans:
         assert len(merged.flaps) == 2
         assert len(merged.stalls) == 1
 
+    @pytest.mark.parametrize("bits", (0, 1))
+    def test_dedup_bits_below_two_rejected(self, bits):
+        # With one bit, unwrap ties between the next in-order value and
+        # the last one, so every in-order message after the first would
+        # be suppressed as a duplicate.
+        with pytest.raises(ValueError, match="dedup_bits"):
+            FaultPlan(dedup_bits=bits)
+
     def test_plan_survives_canonicalization(self):
         # A FaultPlan must be cache-key compatible (frozen, JSON-able).
         from repro.harness.executor import _canonical_json
@@ -123,6 +132,17 @@ class TestDedupFilter:
         for seq in range(1, 40):        # wraps the 4-bit space twice
             assert f.accept("src", seq % 16)
             assert not f.accept("src", seq % 16)
+
+    @pytest.mark.parametrize("bits", (2, 3, 16))
+    def test_in_order_shortcut_agrees_with_unwrap(self, bits):
+        # An in-order arrival is accepted as last + 1 without unwrap; that
+        # must be exactly what unwrap reconstructs, across every wrap.
+        f = DedupFilter(bits)
+        for value in range(1, 2 * (1 << bits) + 3):
+            wire = wrap(value, bits)
+            assert unwrap(wire, value - 1, bits) == value
+            assert f.accept("src", wire)
+            assert not f.accept("src", wire)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +335,92 @@ class TestDuplicateFaultHolds:
         expected_dup = max(2 * ser + latency, arrival + 5.0) + retry
         assert times == [pytest.approx(arrival),
                          pytest.approx(expected_dup)]
+
+    def test_duplicate_waits_out_a_link_down_window(self):
+        """Regression: the duplicate left the egress port when the
+        original's serialization ended, even inside a link-down window."""
+        plan = FaultPlan(
+            duplicate=DuplicateSpec(rate=1.0, delay_ns=0.0),
+            # The link is down over [10, 510): after the original departs
+            # at 0, before its duplicate can.
+            flaps=(FlapSpec(period_ns=1e6, down_ns=500.0, offset_ns=10.0),),
+        )
+        network, src, dst, times = _delivery_times(plan)
+        ser = network.config.interconnect.serialization_ns(1024)
+        latency = network.topology.latency_ns(src, dst)
+        assert 10.0 <= ser < 510.0
+        arrival = network.send(_cross_msg(src, dst, size=1024))
+        network.sim.run()
+
+        assert arrival == ser + latency                  # 166 ns on CXL
+        assert times == [arrival, 510.0 + ser + latency]  # 676 ns on CXL
+
+
+# ---------------------------------------------------------------------------
+# The injector calls only the hooks its plan can act through
+# ---------------------------------------------------------------------------
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("hook called for a scenario the plan lacks")
+
+
+def _mixed_sends(plan):
+    """Arrival times of a fixed burst over one intra-host and one
+    cross-host pair, on a fabric with ``plan`` injected."""
+    sim, stats = Simulator(), StatRegistry()
+    config = default_config(CXL, hosts=2, cores_per_host=2)
+    network = Network(sim, config, stats,
+                      faults=FaultInjector(plan, sim, stats))
+    src = NodeId.core(0, 0)
+    near, far = NodeId.directory(1, 0), NodeId.directory(2, 1)
+    times = []
+    for node in (near, far):
+        network.register(node, lambda message: times.append(sim.now))
+    for index in range(40):
+        dst = far if index % 3 else near
+        sim.schedule(index * 7.0, network.send,
+                     _cross_msg(src, dst, size=64 + 8 * index))
+    sim.run()
+    return times, stats
+
+
+class TestHooksChosenPerPlan:
+    def test_drop_dup_plan_skips_flap_degrade_and_stall_hooks(
+            self, monkeypatch):
+        plan = FaultPlan(drop=DropSpec(rate=0.5),
+                         duplicate=DuplicateSpec(rate=0.5))
+        expected, _ = _mixed_sends(plan)
+        for hook in ("link_ready_ns", "serialization_factor", "release_ns"):
+            monkeypatch.setattr(FaultInjector, hook, _refuse)
+        times, stats = _mixed_sends(plan)
+        assert stats.value("faults.drop") > 0
+        assert stats.value("faults.duplicate") > 0
+        assert times == expected
+
+    def test_flap_only_plan_calls_link_ready(self, monkeypatch):
+        calls = []
+        original = FaultInjector.link_ready_ns
+
+        def counting(self, message, depart):
+            calls.append(depart)
+            return original(self, message, depart)
+
+        monkeypatch.setattr(FaultInjector, "link_ready_ns", counting)
+        _times, stats = _mixed_sends(fault_presets()["flap"])
+        cross_sends = sum(1 for index in range(40) if index % 3)
+        assert len(calls) == cross_sends
+        assert stats.value("faults.injected") == 0  # no window reached
+
+    def test_intra_host_send_never_calls_retry_delay(self, monkeypatch):
+        monkeypatch.setattr(FaultInjector, "retry_delay_ns", _refuse)
+        plan = FaultPlan(drop=DropSpec(rate=1.0))
+        sim, stats = Simulator(), StatRegistry()
+        config = default_config(CXL, hosts=2, cores_per_host=2)
+        network = Network(sim, config, stats,
+                          faults=FaultInjector(plan, sim, stats))
+        src, dst = NodeId.core(0, 0), NodeId.directory(1, 0)
+        network.register(dst, lambda message: None)
+        arrival = network.send(_cross_msg(src, dst))
+        assert arrival == network.topology.latency_ns(src, dst)
 
 
 # ---------------------------------------------------------------------------
