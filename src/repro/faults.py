@@ -19,8 +19,9 @@ for the timed simulator:
   counted under ``faults.*`` in the :class:`~repro.sim.stats.StatRegistry`
   and recorded as a trace instant when tracing is on.
 * :class:`DedupFilter` — endpoint-side duplicate suppression built on
-  :mod:`repro.core.seqnum`: the network assigns each message a wrapped
-  per-(src, dst) wire sequence number, and receivers drop redeliveries.
+  :mod:`repro.core.seqnum`: the network's per-(src, dst) channel counts
+  its messages, the injector stamps each with that count wrapped to
+  ``dedup_bits``, and receivers drop redeliveries.
 
 Division of labour with the model checker: the untimed
 :class:`~repro.litmus.model_checker.ModelChecker` owns *adversarial
@@ -261,10 +262,11 @@ class DedupFilter:
 class FaultInjector:
     """Runtime fault state for one machine.
 
-    Holds the plan, a deterministic RNG stream, per-pair wire sequence
-    counters and per-endpoint :class:`DedupFilter`s.  The network consults
-    it per send; ``Core.handle`` / ``DirectoryNode.handle`` consult
-    :meth:`accept` per delivery.
+    Holds the plan, a deterministic RNG stream and per-endpoint
+    :class:`DedupFilter`s; the wire sequence count lives on the network's
+    pair channel, which passes it to :meth:`assign_seq`.  The network
+    consults the injector per send; ``Core.handle`` /
+    ``DirectoryNode.handle`` consult :meth:`accept` per delivery.
 
     A link-side hook is called only when its ``has_*`` flag says the plan
     contains its scenario: :meth:`link_ready_ns` needs an active flap,
@@ -272,7 +274,8 @@ class FaultInjector:
     stall window, and :meth:`retry_delay_ns` drops (cross-host sends
     only).  A hook left uncalled would have returned its input unchanged
     without drawing from the RNG, so the draws that remain keep their
-    order.
+    order.  Stall windows are applied until none holds the delivery, so
+    overlapping windows hold it the same whatever their order in the plan.
     """
 
     def __init__(self, plan: FaultPlan, sim, stats, trace=None,
@@ -283,7 +286,6 @@ class FaultInjector:
         self.stats = stats
         self.trace = trace
         self._rng = DeterministicRng(seed).child(f"faults.{plan.seed}")
-        self._seq: Dict[Tuple[Any, Any], int] = {}
         self._filters: Dict[Any, DedupFilter] = {}
         self._flaps = tuple(flap for flap in plan.flaps
                             if flap.period_ns > 0 and flap.down_ns > 0)
@@ -350,19 +352,26 @@ class FaultInjector:
         return delay
 
     def release_ns(self, message, arrival: float) -> float:
-        """Per-node stall windows: hold deliveries to a stalled endpoint."""
+        """Per-node stall windows: hold deliveries to a stalled endpoint
+        until no window holds them.  A hold can land inside a window
+        already checked, so the pass repeats; it ends because a window
+        releases past its own end, and so moves the delivery once."""
+        dst = message.dst
         held = arrival
-        for stall in self._stalls:
-            dst = message.dst
-            if stall.kind and dst.kind != stall.kind:
-                continue
-            if stall.index >= 0 and dst.index != stall.index:
-                continue
-            if stall.host >= 0 and dst.host != stall.host:
-                continue
-            end = stall.start_ns + stall.duration_ns
-            if stall.start_ns <= held < end:
-                held = end
+        moved = True
+        while moved:
+            moved = False
+            for stall in self._stalls:
+                if stall.kind and dst.kind != stall.kind:
+                    continue
+                if stall.index >= 0 and dst.index != stall.index:
+                    continue
+                if stall.host >= 0 and dst.host != stall.host:
+                    continue
+                end = stall.start_ns + stall.duration_ns
+                if stall.start_ns <= held < end:
+                    held = end
+                    moved = True
         if held > arrival:
             self._count("node_stall")
             self._count("node_stall_delay_ns", held - arrival)
@@ -381,12 +390,10 @@ class FaultInjector:
         self._record(message, "duplicate", delay_ns=spec.delay_ns)
         return max(spec.delay_ns, 0.0)
 
-    def assign_seq(self, message) -> None:
-        """Stamp the message with its per-(src, dst) wire sequence number."""
-        pair = (message.src, message.dst)
-        value = self._seq.get(pair, 0) + 1
-        self._seq[pair] = value
-        message.seq = wrap(value, self.plan.dedup_bits)
+    def assign_seq(self, message, count: int) -> None:
+        """Stamp ``message`` with ``count``, its number on its (src, dst)
+        channel, wrapped to the plan's ``dedup_bits``."""
+        message.seq = wrap(count, self.plan.dedup_bits)
 
     # -- endpoint-side hook (called by Core/DirectoryNode handle) -----
     def accept(self, message) -> bool:

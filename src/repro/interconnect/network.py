@@ -21,33 +21,35 @@ runs and results are byte-identical to the single-switch fabric (pinned by
 the state-hash basket).
 
 Each (src-node, dst-node) pair gets a channel on its first send, which
-holds the destination handler, the route and the pair's last arrival, so
-a send costs one hash of the pair.  Delivery on a channel is FIFO —
-messages between the same two endpoints arrive in send order — which
-matches real load/store interconnects and is the point-to-point ordering
-the MP (PCIe-like) protocol relies on.  A message that would overtake the
-pair's previous one is clamped to that message's arrival time and
-scheduled at exactly that time (``Simulator.schedule_at`` queues ``when``
-itself), so the kernel's same-timestamp FIFO delivers the two in send
-order.  Disjoint node pairs are independent even within one host: their
-mesh paths do not serialize against each other.
-Protocol *correctness* under adversarial reordering is checked separately
-by the untimed model checker (``repro.litmus``).
+holds the destination handler, the route, the pair's last arrival and its
+wire sequence count, so a send costs one hash of the pair.  Delivery on a
+channel is FIFO — messages between the same two endpoints arrive in send
+order — which matches real load/store interconnects and is the
+point-to-point ordering the MP (PCIe-like) protocol relies on.  A message
+that would overtake the pair's previous one is clamped to that message's
+arrival time and scheduled at exactly that time (``Simulator.schedule_at``
+queues ``when`` itself), so the kernel's same-timestamp FIFO delivers the
+two in send order.  Disjoint node pairs are independent even within one
+host: their mesh paths do not serialize against each other.  Protocol
+*correctness* under adversarial reordering is checked separately by the
+untimed model checker (``repro.litmus``).
+
+:meth:`Network.send` computes every transmission in one block, from the
+egress departure to the FIFO clamp and accounting.  With a
+:class:`~repro.faults.FaultInjector` attached it calls only the hooks whose
+scenario the plan contains (decided once, at construction) and stamps each
+message with its channel's wire sequence count.  A fault duplicate is a
+real second transmission: the block runs once more for it, with the
+original's arrival plus the duplicate delay as a not-before floor, and
+endpoints suppress it by sequence number.
 
 When a :class:`~repro.trace.TraceCollector` is attached, every send is
 recorded as a flight span (size/class/hops), every delivery as an instant,
-and pre-departure waits as stall spans against the source node — split by
-cause: time queued behind a busy egress port is ``egress_queue``; any
-further fault-induced hold (a link flap/down window) is ``fault.link_down``.
-Untraced deliveries call the channel's handler straight from the kernel.
-
-With a :class:`~repro.faults.FaultInjector` attached, a send calls only
-the hooks whose scenario the plan contains (the injector decides once, at
-construction).  Fault-injected duplicates re-traverse the fabric like real
-retransmissions: a duplicate occupies the egress port, pays serialization,
-passes through the same fault holds as any first transmission (link-down
-windows, retry latency, per-node stall windows), and is accounted as a
-second message (endpoints later suppress it by wire sequence number).
+and the original's pre-departure waits as stall spans against the source
+node — split by cause: time queued behind a busy egress port is
+``egress_queue``; any further fault-induced hold (a link flap/down window)
+is ``fault.link_down``.  Untraced deliveries call the channel's handler
+straight from the kernel.
 """
 
 from __future__ import annotations
@@ -66,17 +68,19 @@ Handler = Callable[[Message], None]
 
 class _Channel:
     """One (src, dst) node pair: its destination handler, route fields,
-    source host (egress port) and ``last``, the pair's latest arrival
-    (the FIFO clamp)."""
+    source host (egress port), ``last``, the pair's latest arrival (the
+    FIFO clamp), and ``sent``, the pair's wire sequence count (counted
+    only while a fault injector is attached)."""
 
     __slots__ = ("handler", "latency", "hops", "cross", "cross_pod", "host",
-                 "last")
+                 "last", "sent")
 
     def __init__(self, handler: Handler, route: tuple, host: int) -> None:
         self.handler = handler
         self.latency, self.hops, self.cross, self.cross_pod = route
         self.host = host
         self.last = 0.0
+        self.sent = 0
 
 
 class Network:
@@ -99,7 +103,7 @@ class Network:
         #: Optional :class:`repro.trace.TraceCollector` (None = disabled).
         self.trace = trace
         #: Optional :class:`repro.faults.FaultInjector` (None = disabled —
-        #: the default; every consultation below is a single branch).
+        #: the default; each consultation in ``send`` is one test).
         self.faults = faults
         # Bound method: the per-message serialization cost lookup
         # (``config.interconnect.serialization_ns``) without the two
@@ -120,7 +124,7 @@ class Network:
         # Two-level fabric (pods > 1 only): next time each pod's uplink
         # into the inter-pod spine / downlink out of it is free, plus the
         # cached accounting handles.  Never touched on pods == 1 configs,
-        # keeping the single-switch fast path byte-identical.
+        # keeping single-switch results byte-identical.
         if config.pods > 1:
             uplink_gbps = (config.pod_uplink_gbps
                            if config.pod_uplink_gbps is not None
@@ -172,133 +176,78 @@ class Network:
             latency *= factor
 
         faults = self.faults
-        if faults is None and self.trace is None:
-            # Fast path: the default (untraced, unfaulted) configuration.
-            # Identical arithmetic to the general path below with every
-            # disabled-feature branch hoisted out; the pinned state-hash
-            # basket (tests/test_state_hash.py) proves byte-equivalence.
-            sim = self.sim
-            now = sim.now
-            if channel.cross:
+        if faults is not None:
+            channel.sent += 1
+            faults.assign_seq(message, channel.sent)
+        sim = self.sim
+        now = not_before = sim.now
+        cross = channel.cross
+        original = None
+        # One pass per transmission: the original, then at most one fault
+        # duplicate, which arrives no earlier than ``not_before``.
+        while True:
+            # ``queued`` ends the egress-port contention; any later
+            # departure is a fault hold (link down).
+            depart = queued = now
+            if cross:
                 host = channel.host
                 port_free = self._egress_free.get(host, 0.0)
-                depart = port_free if port_free > now else now
-                finish = depart + self._serialize(message.size_bytes)
+                if port_free > now:
+                    depart = queued = port_free
+                serialization = self._serialize(message.size_bytes)
+                if faults is not None:
+                    if faults.has_flaps:
+                        depart = faults.link_ready_ns(message, depart)
+                    if faults.has_degrade:
+                        serialization *= faults.serialization_factor(message,
+                                                                     depart)
+                finish = depart + serialization
                 self._egress_free[host] = finish
                 if channel.cross_pod:
                     finish = self._pod_transit(message, finish)
                 arrival = finish + latency
             else:
                 arrival = now + latency
+            if faults is not None:
+                # Only a duplicate's floor can bind.  Then transient loss
+                # (retry latency) and per-node stall windows, all before
+                # the FIFO clamp, so same-pair ordering holds.
+                if not_before > arrival:
+                    arrival = not_before
+                if cross and faults.has_drops:
+                    arrival += faults.retry_delay_ns(message)
+                if faults.has_stalls:
+                    arrival = faults.release_ns(message, arrival)
+            # Enforce per node-pair FIFO delivery.
             if channel.last > arrival:
                 arrival = channel.last
             channel.last = arrival
-            self._account(message, channel.cross)
-            sim.schedule_at(arrival, channel.handler, message)
-            return arrival
-
-        cross = channel.cross
-        depart = self.sim.now
-        # Portion of the pre-departure wait that is genuine egress-port
-        # contention; anything past it is fault-induced (link down).
-        queue_until = depart
-        serialization = 0.0
-
-        if cross:
-            serialization = self._serialize(message.size_bytes)
-            port_free = self._egress_free.get(channel.host, 0.0)
-            queue_until = depart = max(self.sim.now, port_free)
-            if faults is not None:
-                if faults.has_flaps:
-                    depart = faults.link_ready_ns(message, depart)
-                if faults.has_degrade:
-                    serialization *= faults.serialization_factor(message,
-                                                                 depart)
-            finish = depart + serialization
-            self._egress_free[channel.host] = finish
-            if channel.cross_pod:
-                finish = self._pod_transit(message, finish)
-            arrival = finish + latency
-        else:
-            arrival = self.sim.now + latency
-
-        if faults is not None:
-            # Transient loss (retry latency) and per-node stall windows
-            # apply before the FIFO clamp, so same-pair ordering holds.
-            if cross and faults.has_drops:
-                arrival += faults.retry_delay_ns(message)
-            if faults.has_stalls:
-                arrival = faults.release_ns(message, arrival)
-            faults.assign_seq(message)
-
-        # Enforce per node-pair FIFO delivery.
-        arrival = max(arrival, channel.last)
-        channel.last = arrival
-
-        self._account(message, cross)
-        if self.trace:
-            if queue_until > self.sim.now:
-                # Suppress the zero-length span every uncontended (and
-                # every intra-host) send would otherwise emit.
-                self.trace.stall(str(message.src), "egress_queue",
-                                 self.sim.now, queue_until)
-            if depart > queue_until:
-                # Fault-induced departure delay (link flap/down window) is
-                # not port contention; attribute it separately.
-                self.trace.stall(str(message.src), "fault.link_down",
-                                 queue_until, depart)
-            self.trace.message_send(message, depart, arrival, cross,
-                                    channel.hops)
-            self.sim.schedule_at(arrival, self._deliver, channel.handler,
-                                 message)
-        else:
-            self.sim.schedule_at(arrival, channel.handler, message)
-
-        if faults is not None:
-            dup_delay = faults.duplicate_delay_ns(message)
-            if dup_delay is not None:
-                # The duplicate re-consumes bandwidth — it occupies the
-                # egress port and pays serialization like the original —
-                # and arrives after it (FIFO-preserving); endpoints dedup
-                # it by seq.
-                if cross:
-                    dup_depart = self._egress_free.get(channel.host, 0.0)
-                    if faults.has_flaps:
-                        # It leaves the port only while the link is up.
-                        dup_depart = faults.link_ready_ns(message, dup_depart)
-                    dup_finish = dup_depart + serialization
-                    self._egress_free[channel.host] = dup_finish
-                    if channel.cross_pod:
-                        dup_finish = self._pod_transit(message, dup_finish)
-                    dup_arrival = max(dup_finish + latency,
-                                      arrival + dup_delay)
-                else:
-                    dup_depart = arrival
-                    dup_arrival = arrival + dup_delay
-                # A duplicate is a real second transmission: it is exposed
-                # to the same transient loss (retry latency) and must
-                # respect the destination's stall windows.  Skipping these
-                # holds let a duplicate arrive *inside* a window its
-                # original was held out of.
-                if cross and faults.has_drops:
-                    dup_arrival += faults.retry_delay_ns(message)
-                if faults.has_stalls:
-                    dup_arrival = faults.release_ns(message, dup_arrival)
-                # FIFO: never before the original (the holds only add
-                # delay, but retry applies to the dup alone, so re-clamp).
-                dup_arrival = max(dup_arrival, channel.last)
-                channel.last = dup_arrival
-                self._account(message, cross)
-                if self.trace:
-                    self.trace.message_send(
-                        message, dup_depart, dup_arrival, cross, channel.hops
-                    )
-                    self.sim.schedule_at(dup_arrival, self._deliver,
-                                         channel.handler, message)
-                else:
-                    self.sim.schedule_at(dup_arrival, channel.handler,
-                                         message)
-        return arrival
+            self._account(message, cross)
+            trace = self.trace
+            if trace:
+                if original is None:
+                    # Suppress the zero-length spans every uncontended (and
+                    # every intra-host) send would otherwise emit.
+                    if queued > now:
+                        trace.stall(str(message.src), "egress_queue", now,
+                                    queued)
+                    if depart > queued:
+                        trace.stall(str(message.src), "fault.link_down",
+                                    queued, depart)
+                trace.message_send(message, depart, arrival, cross,
+                                   channel.hops)
+                sim.schedule_at(arrival, self._deliver, channel.handler,
+                                message)
+            else:
+                sim.schedule_at(arrival, channel.handler, message)
+            if faults is None:
+                return arrival
+            if original is not None:
+                return original
+            delay = faults.duplicate_delay_ns(message)
+            if delay is None:
+                return arrival
+            original, not_before = arrival, arrival + delay
 
     def _deliver(self, handler: Handler, message: Message) -> None:
         self.trace.message_deliver(message, self.sim.now)

@@ -195,10 +195,11 @@ class TestFifoScope:
         assert sim.now == arrival
 
     def test_faulted_path_clamps_exactly_like_the_fast_path(self):
-        # The same overtaking pair of sends as above, once on the fast
-        # path and once through a fault injector whose only scenario (a
-        # far-off stall window) never holds anything: same arrivals, same
-        # delivery order.
+        # The same overtaking pair of sends as above, once without faults
+        # and once through a fault injector whose only scenario (a far-off
+        # stall window) never holds anything.  Every send runs the same
+        # block; an inert plan must change no arrival and no delivery
+        # order.
         from repro.faults import FaultInjector, FaultPlan, StallSpec
         from repro.sim import StatRegistry
 
@@ -221,10 +222,10 @@ class TestFifoScope:
             sim.run()
             return inbox
 
-        fast = deliveries(faulted=False)
-        assert [kind for kind, _ in fast] == ["first", "second"]
-        assert fast[0][1] == fast[1][1]          # the second was clamped
-        assert deliveries(faulted=True) == fast
+        plain = deliveries(faulted=False)
+        assert [kind for kind, _ in plain] == ["first", "second"]
+        assert plain[0][1] == plain[1][1]        # the second was clamped
+        assert deliveries(faulted=True) == plain
 
     def test_disjoint_cross_host_pairs_not_clamped_to_each_other(self):
         sim, network = self._network()

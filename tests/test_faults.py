@@ -19,6 +19,7 @@ from repro.config import CXL, SystemConfig
 from repro.core.seqnum import unwrap, wrap
 from repro.faults import (
     DedupFilter,
+    DegradeSpec,
     DropSpec,
     DuplicateSpec,
     FaultInjector,
@@ -270,39 +271,51 @@ class TestFaultWaitAccounting:
 # ---------------------------------------------------------------------------
 # Duplicates pass through the same fault holds as first transmissions
 # ---------------------------------------------------------------------------
-def _delivery_times(plan):
-    """A two-host fabric that records every delivery time at ``dst``."""
+CROSS_HOST_DIR = NodeId.directory(1, 1)
+SAME_HOST_DIR = NodeId.directory(0, 0)
+
+
+def _delivery_times(plan, dst=CROSS_HOST_DIR):
+    """A two-host fabric that records every delivery time at ``dst``
+    (by default on the other host from the sending core)."""
     sim, stats = Simulator(), StatRegistry()
     config = default_config(CXL, hosts=2, cores_per_host=1)
     injector = FaultInjector(plan, sim, stats)
     network = Network(sim, config, stats, faults=injector)
     src = NodeId.core(0, 0)
-    dst = NodeId.directory(1, 1)
     times = []
     network.register(dst, lambda message: times.append(sim.now))
     return network, src, dst, times
 
 
 class TestDuplicateFaultHolds:
-    def test_duplicate_respects_straddling_stall_window(self):
+    @pytest.mark.parametrize("dst", [CROSS_HOST_DIR, SAME_HOST_DIR],
+                             ids=["inter", "intra"])
+    def test_duplicate_respects_straddling_stall_window(self, dst):
         """Regression: a fault-injected duplicate used to bypass the
         destination's stall windows entirely — with a window opening after
         the original's arrival but before the duplicate's, the duplicate
         was delivered *inside* the window its original would have been
         held out of."""
         probe = FaultPlan(duplicate=DuplicateSpec(rate=1.0, delay_ns=5.0))
-        network, src, dst, _times = _delivery_times(probe)
-        ser = network.config.interconnect.serialization_ns(640)
+        network, src, dst, _times = _delivery_times(probe, dst)
         latency = network.topology.latency_ns(src, dst)
-        orig_arrival = ser + latency
-        unheld_dup_arrival = max(2 * ser + latency, orig_arrival + 5.0)
+        if dst.host == src.host:
+            # The mesh has no egress port: the duplicate follows its
+            # original by the duplicate delay alone.
+            orig_arrival = latency
+            unheld_dup_arrival = orig_arrival + 5.0
+        else:
+            ser = network.config.interconnect.serialization_ns(640)
+            orig_arrival = ser + latency
+            unheld_dup_arrival = max(2 * ser + latency, orig_arrival + 5.0)
 
         # Window straddles the duplicate: opens just after the original
         # lands, closes well past the duplicate's unheld arrival.
         window = StallSpec(start_ns=orig_arrival + 0.25,
                            duration_ns=unheld_dup_arrival + 100.0)
         plan = dataclasses.replace(probe, stalls=(window,))
-        network, src, dst, times = _delivery_times(plan)
+        network, src, dst, times = _delivery_times(plan, dst)
         first = network.send(_cross_msg(src, dst))
         network.sim.run()
 
@@ -354,6 +367,72 @@ class TestDuplicateFaultHolds:
 
         assert arrival == ser + latency                  # 166 ns on CXL
         assert times == [arrival, 510.0 + ser + latency]  # 676 ns on CXL
+
+    def test_duplicate_serializes_at_its_own_departure(self):
+        """Regression: the duplicate reused its original's degrade-scaled
+        serialization, even when it left the port after the window."""
+        plan = FaultPlan(
+            duplicate=DuplicateSpec(rate=1.0, delay_ns=0.0),
+            # Serialization is x4 over [0, 10): the original departs at 0,
+            # inside the window; its duplicate departs when the original's
+            # serialization ends, after it.
+            degrade=DegradeSpec(period_ns=1e6, window_ns=10.0, factor=4.0),
+        )
+        network, src, dst, times = _delivery_times(plan)
+        ser = network.config.interconnect.serialization_ns(1024)
+        latency = network.topology.latency_ns(src, dst)
+        assert 10.0 <= 4 * ser
+        arrival = network.send(_cross_msg(src, dst, size=1024))
+        network.sim.run()
+
+        assert arrival == 4 * ser + latency                # 214 ns on CXL
+        assert times == [arrival, 4 * ser + ser + latency]  # 230 ns on CXL
+
+
+# ---------------------------------------------------------------------------
+# Stall windows and wire sequence numbers
+# ---------------------------------------------------------------------------
+class TestStallWindows:
+    @pytest.mark.parametrize("order", [1, -1], ids=["plan_order", "reversed"])
+    def test_overlapping_windows_hold_in_either_order(self, order):
+        """Regression: each window was checked once, in plan order, so the
+        hold by a later window could land inside an earlier one and the
+        delivery time depended on the order of ``FaultPlan.stalls``."""
+        windows = (StallSpec(start_ns=300.0, duration_ns=200.0),
+                   StallSpec(start_ns=200.0, duration_ns=120.0))
+        plan = FaultPlan(stalls=windows[::order])
+        network, src, dst, times = _delivery_times(plan)
+        # Unheld, the message lands at 201 ns, inside [200, 320); that
+        # window releases it at 320 ns, inside [300, 500).
+        network.sim.schedule_at(50.0, network.send,
+                                _cross_msg(src, dst, size=64))
+        network.sim.run()
+        assert times == [500.0]
+
+
+class TestWireSequence:
+    def test_each_pair_numbers_its_own_messages(self):
+        """The pair channel counts its own messages: sends on pairs that
+        share its source or its destination never advance its number."""
+        sim, stats = Simulator(), StatRegistry()
+        config = default_config(CXL, hosts=2, cores_per_host=2)
+        injector = FaultInjector(FaultPlan(dedup_bits=2), sim, stats)
+        network = Network(sim, config, stats, faults=injector)
+        core_a, core_b = NodeId.core(0, 0), NodeId.core(2, 1)
+        dir_x, dir_y = NodeId.directory(2, 1), NodeId.directory(1, 0)
+        for node in (dir_x, dir_y):
+            network.register(node, lambda message: None)
+        # (a, x) shares its source with (a, y) and its destination with
+        # (b, x).
+        pairs = [(core_a, dir_x), (core_a, dir_y), (core_b, dir_x)]
+        seqs = {pair: [] for pair in pairs}
+        for _round in range(5):
+            for src, dst in pairs:
+                message = _cross_msg(src, dst)
+                network.send(message)
+                seqs[(src, dst)].append(message.seq)
+        # Counts 1..5 wrapped to two bits.
+        assert seqs == {pair: [1, 2, 3, 0, 1] for pair in pairs}
 
 
 # ---------------------------------------------------------------------------
