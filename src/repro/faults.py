@@ -115,7 +115,9 @@ class FlapSpec:
 
     ``host`` restricts the flap to one source host (``-1`` = every host).
     A message that wants to depart inside a down window waits for the link
-    to come back up; nothing is lost.
+    to come back up; nothing is lost.  A link's flaps are the every-host
+    ones plus its own host's, and together they must leave it up some of
+    the time (see :class:`FaultPlan`).
     """
 
     period_ns: float = 0.0
@@ -151,6 +153,9 @@ class FaultPlan:
     machine seed; ``dedup_bits`` sizes the wire sequence numbers used for
     duplicate suppression: at least 2, since with one bit :func:`unwrap`
     ties and every in-order message after the first reads as a repeat.
+    On every source link the active flaps' ``down_ns / period_ns`` must
+    sum to less than 1: at 1 or more their down windows can cover all
+    time, and a departure would wait for an up instant that never comes.
     """
 
     drop: Optional[DropSpec] = None
@@ -165,6 +170,22 @@ class FaultPlan:
         if self.dedup_bits < 2:
             raise ValueError(
                 f"dedup_bits must be at least 2, got {self.dedup_bits}")
+        # A source link's flaps are the every-host ones plus its host's.
+        shared = 0.0
+        per_host: Dict[int, float] = {}
+        for flap in self.flaps:
+            if flap.period_ns > 0 and flap.down_ns > 0:
+                share = flap.down_ns / flap.period_ns
+                if flap.host < 0:
+                    shared += share
+                else:
+                    per_host[flap.host] = per_host.get(flap.host, 0.0) + share
+        down = shared + max(per_host.values(), default=0.0)
+        if down >= 1:
+            raise ValueError(
+                f"flaps: the down windows on one link add up to {down:g} "
+                "of the time (the sum of down_ns/period_ns must stay below "
+                "1, or the link may never come up)")
 
     @property
     def enabled(self) -> bool:
@@ -274,8 +295,9 @@ class FaultInjector:
     stall window, and :meth:`retry_delay_ns` drops (cross-host sends
     only).  A hook left uncalled would have returned its input unchanged
     without drawing from the RNG, so the draws that remain keep their
-    order.  Stall windows are applied until none holds the delivery, so
-    overlapping windows hold it the same whatever their order in the plan.
+    order.  Stall windows are applied until none holds the delivery, and
+    flaps until none holds the departure, so overlapping windows hold a
+    message the same whatever their order in the plan.
     """
 
     def __init__(self, plan: FaultPlan, sim, stats, trace=None,
@@ -311,14 +333,31 @@ class FaultInjector:
 
     # -- link-side hooks (called by Network.send) ---------------------
     def link_ready_ns(self, message, depart: float) -> float:
-        """Flap windows: delay departure until the egress link is up."""
+        """Flap windows: delay departure until the egress link is up.
+
+        A hold by one flap can land inside a flap already checked, so
+        the pass repeats until no flap holds the departure.  It ends
+        because :class:`FaultPlan` keeps each link's down share below 1:
+        every long enough interval then has up time, and each hold moves
+        the departure to a window end no later than the first up instant.
+        The flap that made the last hold is not asked again until another
+        one moves the departure, since its own window end is up for it.
+        """
+        host = message.src.host
         delayed = depart
-        for flap in self._flaps:
-            if flap.host >= 0 and message.src.host != flap.host:
-                continue
-            phase = (delayed - flap.offset_ns) % flap.period_ns
-            if 0 <= phase < flap.down_ns:
-                delayed += flap.down_ns - phase
+        holder = None
+        while True:
+            last = holder
+            for flap in self._flaps:
+                if flap is last or (flap.host >= 0 and host != flap.host):
+                    continue
+                phase = (delayed - flap.offset_ns) % flap.period_ns
+                if 0 <= phase < flap.down_ns:
+                    ready = delayed + (flap.down_ns - phase)
+                    if ready > delayed:
+                        delayed, holder = ready, flap
+            if holder is last:
+                break
         if delayed > depart:
             self._count("flap")
             self._count("flap_delay_ns", delayed - depart)

@@ -49,7 +49,11 @@ class CorePort(abc.ABC):
         self.config = core.machine.config
         self.sizes = core.machine.config.message_sizes
         self.node: NodeId = core.node_id
-        self._load_waiters: Dict[int, Any] = {}
+        # One response signal for every load and RMW round trip: the core
+        # issues one op at a time and each of these blocks until its
+        # ``load_resp``, so a port never has two round trips in flight.
+        self._response = self.sim.signal(f"response@core{core.core_id}")
+        self._pending_req: Optional[int] = None
         self._next_req = 0
         self._load_req_bytes = self.sizes.control_bytes()
         # Source-side write-combining buffer (§2.1); inert when the config
@@ -162,29 +166,21 @@ class CorePort(abc.ABC):
         if self.wc.enabled:
             # Read-own-write: surface any buffered store to this line first.
             yield from self.wc_flush_line(op.addr)
-        req_id = self._next_req
+        req_id = self._pending_req = self._next_req
         self._next_req += 1
-        # Load signals share one name: a per-request name would be
-        # formatted on every load for diagnostics that never print it.
-        signal = self.sim.signal("load")
-        self._load_waiters[req_id] = signal
         self.network.send(Message(
-            src=self.node,
-            dst=self.home(op.addr),
-            msg_type="load_req",
-            size_bytes=self._load_req_bytes,
-            control=True,
-            payload={"addr": op.addr, "size": op.size, "req_id": req_id},
-        ))
-        value = yield signal
+            self.node, self.home(op.addr), "load_req", self._load_req_bytes,
+            True, {"addr": op.addr, "size": op.size, "req_id": req_id}))
+        value = yield self._response
         return value
 
     def _complete_load(self, message: Message) -> None:
-        req_id = message.payload["req_id"]
-        signal = self._load_waiters.pop(req_id, None)
-        if signal is None:
+        """Deliver a ``load_resp`` (loads and RMWs share it) to the round
+        trip waiting for its ``req_id``."""
+        if message.payload["req_id"] != self._pending_req:
             raise RuntimeError(f"unexpected load response {message}")
-        signal.trigger(message.payload.get("value", 0))
+        self._pending_req = None
+        self._response.trigger(message.payload.get("value", 0))
 
     # ------------------------------------------------------------------
     # Shared atomic path: read-modify-write at the home LLC slice.
@@ -198,17 +194,11 @@ class CorePort(abc.ABC):
         return old
 
     def _atomic_round_trip(self, op: MemOp, program_index: int) -> Generator:
-        req_id = self._next_req
+        req_id = self._pending_req = self._next_req
         self._next_req += 1
-        signal = self.sim.signal(f"atomic{req_id}@core{self.core.core_id}")
-        self._load_waiters[req_id] = signal
         self.network.send(Message(
-            src=self.node,
-            dst=self.home(op.addr),
-            msg_type="atomic_req",
-            size_bytes=self.sizes.data_bytes(op.size),
-            control=False,
-            payload={
+            self.node, self.home(op.addr), "atomic_req",
+            self.sizes.data_bytes(op.size), False, {
                 "addr": op.addr,
                 "value": op.value,
                 "size": op.size,
@@ -218,9 +208,8 @@ class CorePort(abc.ABC):
                 "atomic": op.meta["atomic"],
                 "compare": op.meta.get("compare"),
                 "req_id": req_id,
-            },
-        ))
-        old = yield signal
+            }))
+        old = yield self._response
         return old
 
 
@@ -344,15 +333,12 @@ class DirectoryNode:
         self.respond_atomic(message, old)
 
     def respond_atomic(self, message: Message, old: int) -> None:
+        # ``load_resp``: the RMW rides the shared response path.
         self.network.send(Message(
-            src=self.node_id,
-            dst=message.src,
-            msg_type="load_resp",     # rides the shared response path
-            size_bytes=self.sizes.data_bytes(message.payload.get("size", 8)),
-            control=False,
-            payload={"req_id": message.payload["req_id"], "value": old,
-                     "addr": message.payload["addr"]},
-        ))
+            self.node_id, message.src, "load_resp",
+            self.sizes.data_bytes(message.payload.get("size", 8)), False,
+            {"req_id": message.payload["req_id"], "value": old,
+             "addr": message.payload["addr"]}))
 
     # ------------------------------------------------------------------
     # Shared load handler
@@ -365,14 +351,8 @@ class DirectoryNode:
         if nbytes is None:
             nbytes = self._load_resp_bytes[size] = self.sizes.data_bytes(size)
         self.network.send(Message(
-            src=self.node_id,
-            dst=message.src,
-            msg_type="load_resp",
-            size_bytes=nbytes,
-            control=False,
-            payload={
+            self.node_id, message.src, "load_resp", nbytes, False, {
                 "req_id": payload["req_id"],
                 "value": self.read_value(addr),
                 "addr": addr,
-            },
-        ))
+            }))

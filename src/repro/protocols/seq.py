@@ -9,7 +9,7 @@ here, one board per machine.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Tuple
 
 __all__ = ["SeqCommitBoard"]
 
@@ -26,7 +26,9 @@ class SeqCommitBoard:
     Directories subscribe their retry loop: a commit at one slice
     re-evaluates the others' buffered stores/flushes on a zero-delay
     event (never re-entrantly, and never for the committing slice itself
-    — single-slice machines schedule no extra events).
+    — single-slice machines schedule no extra events).  Each
+    subscriber's wake-up is built once, at :meth:`subscribe`, so a
+    commit queues a slice of one tuple with one kernel call.
     """
 
     def __init__(self, sim) -> None:
@@ -37,11 +39,17 @@ class SeqCommitBoard:
         #: commits only ever raise them — which is what makes stale lease
         #: hits provably checker-reachable (DESIGN.md).
         self.proc_ts: Dict[int, int] = {}
-        self._subscribers: List[Tuple[object, Callable[[], None]]] = []
+        #: Subscribers' prebuilt wake-ups, in subscription order, and each
+        #: origin's position in that tuple.
+        self._wakeups: Tuple = ()
+        self._positions: Dict[object, int] = {}
 
     def subscribe(self, origin: object,
                   callback: Callable[[], None]) -> None:
-        self._subscribers.append((origin, callback))
+        """Wake ``callback`` on every commit not made by ``origin`` (one
+        subscription per origin)."""
+        self._positions[origin] = len(self._wakeups)
+        self._wakeups += (self.sim.entry(callback),)
 
     def count(self, proc: int) -> int:
         return self.committed.get(proc, 0)
@@ -55,6 +63,8 @@ class SeqCommitBoard:
 
     def commit(self, proc: int, origin: object = None) -> None:
         self.committed[proc] = self.committed.get(proc, 0) + 1
-        for sub_origin, callback in self._subscribers:
-            if sub_origin is not origin:
-                self.sim.schedule(0.0, callback)
+        wakeups = self._wakeups
+        index = self._positions.get(origin)
+        if index is not None:
+            wakeups = wakeups[:index] + wakeups[index + 1:]
+        self.sim.schedule_entries(0.0, wakeups)

@@ -313,14 +313,9 @@ class TableCorePort(CorePort):
                 nbytes = cache[size] = self.sizes.data_bytes(
                     size, self._msg_bits[mid])
             control = self._msg_control[mid]
-        self.network.send(Message(
-            src=self.node,
-            dst=self._dir_ids[dir_index],
-            msg_type=self._wire_names[mid],
-            size_bytes=nbytes,
-            control=control,
-            payload=payload,
-        ))
+        self.network.send(Message(self.node, self._dir_ids[dir_index],
+                                  self._wire_names[mid], nbytes, control,
+                                  payload))
 
     def _send_emit(self, emit: Emit, *, addr: int, size: int, value,
                    program_index: int, home_index: int, ordering,
@@ -428,10 +423,8 @@ class TableCorePort(CorePort):
         carrier for a CORD Release RMW, which the directory performs when
         the Release commits) and wait for the old value."""
         mid = self._compiled.msg_id[emit.message]
-        req_id = self._next_req
+        req_id = self._pending_req = self._next_req
         self._next_req += 1
-        signal = self.sim.signal(f"atomic{req_id}@core{self._cid}")
-        self._load_waiters[req_id] = signal
         payload = {
             "addr": op.addr,
             "value": op.value,
@@ -447,15 +440,11 @@ class TableCorePort(CorePort):
         # Metadata bits are charged when the RMW carries protocol fields
         # (a relaxed SEQ RMW carries no sequence number).
         bits = self._msg_bits[mid] if emit.fields else 0
-        self.network.send(Message(
-            src=self.node,
-            dst=self._dir_ids[home_index],
-            msg_type=self._wire_names[mid],
-            size_bytes=self.sizes.data_bytes(op.size, bits),
-            control=False,
-            payload=payload,
-        ))
-        old = yield signal
+        self.network.send(Message(self.node, self._dir_ids[home_index],
+                                  self._wire_names[mid],
+                                  self.sizes.data_bytes(op.size, bits),
+                                  False, payload))
+        old = yield self._response
         return old
 
     # ------------------------------------------------------------------
@@ -950,14 +939,8 @@ class TableDirectory(DirectoryNode):
     def _reply(self, dst, name: str, payload: Dict[str, Any]) -> None:
         """Send the table's control message ``name`` to ``dst``."""
         mid = self._compiled.msg_id[name]
-        self.network.send(Message(
-            src=self.node_id,
-            dst=dst,
-            msg_type=self._wire_names[mid],
-            size_bytes=self._ctl_bytes[mid],
-            control=True,
-            payload=payload,
-        ))
+        self.network.send(Message(self.node_id, dst, self._wire_names[mid],
+                                  self._ctl_bytes[mid], True, payload))
 
     def _process(self, message: Message) -> None:
         entry = self._handlers.get(message.msg_type)
@@ -1187,19 +1170,13 @@ class TardisDirectory(TableDirectory):
             nbytes = self._load_resp_bytes[size] = self.sizes.data_bytes(
                 size, self._lease_resp_bits)
         self.network.send(Message(
-            src=self.node_id,
-            dst=message.src,
-            msg_type="load_resp",
-            size_bytes=nbytes,
-            control=False,
-            payload={
+            self.node_id, message.src, "load_resp", nbytes, False, {
                 "req_id": payload["req_id"],
                 "value": self.read_value(addr),
                 "addr": addr,
                 "wts": wts,
                 "rts": rts,
-            },
-        ))
+            }))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Generator, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 __all__ = [
     "Simulator",
@@ -34,6 +35,11 @@ __all__ = [
 
 class SimulationError(RuntimeError):
     """Raised when the simulation reaches an invalid state (e.g. deadlock)."""
+
+
+#: One pending event: ``(callback, args)``, dispatched as ``callback(*args)``.
+#: Build them with :meth:`Simulator.entry`; the layout is private here.
+_Entry = Tuple[Callable[..., None], tuple]
 
 
 def _fmt_ns(value: Any) -> str:
@@ -131,18 +137,19 @@ class Signal:
     def __init__(self, sim: "Simulator", name: str = "") -> None:
         self.sim = sim
         self.name = name
-        self._waiters: List["Process"] = []
+        #: The waiting processes' prebuilt wake entries, in waiting order.
+        self._waiters: List[_Entry] = []
         self.trigger_count = 0
-
-    def _add_waiter(self, process: "Process") -> None:
-        self._waiters.append(process)
 
     def trigger(self, value: Any = None) -> None:
         """Wake all current waiters, delivering ``value`` to each."""
         self.trigger_count += 1
-        waiters, self._waiters = self._waiters, []
-        for process in waiters:
-            self.sim.schedule(0.0, process._resume, value)
+        waiters = self._waiters
+        if waiters:
+            self._waiters = []
+            if value is not None:
+                waiters = [(resume, (value,)) for resume, _ in waiters]
+            self.sim.schedule_entries(0.0, waiters)
 
     @property
     def waiter_count(self) -> int:
@@ -195,7 +202,7 @@ class Process:
     """
 
     __slots__ = ("sim", "generator", "name", "finished", "result",
-                 "last_progress_ns", "_finish_callbacks")
+                 "last_progress_ns", "_finish_callbacks", "_wake")
 
     def __init__(
         self,
@@ -212,6 +219,10 @@ class Process:
         #: watchdog's "when did it last do anything" attribution.
         self.last_progress_ns: float = 0.0
         self._finish_callbacks: List[Callable[["Process"], None]] = []
+        #: The queue entry that resumes this process with ``None``, built
+        #: once: every delay, ``yield None`` and value-less signal wake-up
+        #: queues this same object instead of a new bound method and tuple.
+        self._wake: _Entry = (self._resume, (None,))
 
     def on_finish(self, callback: Callable[["Process"], None]) -> None:
         if self.finished:
@@ -222,7 +233,8 @@ class Process:
     def _resume(self, value: Any = None) -> None:
         if self.finished:
             return
-        self.last_progress_ns = self.sim.now
+        sim = self.sim
+        self.last_progress_ns = sim.now
         try:
             yielded = self.generator.send(value)
         except StopIteration as stop:
@@ -235,16 +247,18 @@ class Process:
         if kind is float or kind is int:
             # Exact-type fast path for the overwhelmingly common yield (a
             # delay); ``type(True) is int`` is False, so bools still fall
-            # through to the guard below.
+            # through to the guard below.  ``now`` is a float, so an int
+            # delay gives the same sum ``float(yielded)`` would.
             if yielded < 0:
                 raise SimulationError(
                     f"process {self.name!r} yielded negative delay {yielded}"
                 )
-            self.sim.schedule(float(yielded), self._resume, None)
+            when = sim.now + yielded
         elif yielded is None:
-            self.sim.schedule(0.0, self._resume, None)
+            when = sim.now
         elif isinstance(yielded, Signal):
-            yielded._add_waiter(self)
+            yielded._waiters.append(self._wake)
+            return
         elif isinstance(yielded, bool):
             # bool is an int subclass: without this check ``yield True``
             # would silently sleep 1.0 ns (usually a mistyped condition).
@@ -257,11 +271,21 @@ class Process:
                 raise SimulationError(
                     f"process {self.name!r} yielded negative delay {yielded}"
                 )
-            self.sim.schedule(float(yielded), self._resume, None)
+            when = sim.now + float(yielded)
         else:
             raise SimulationError(
                 f"process {self.name!r} yielded unsupported value {yielded!r}"
             )
+        # The bucket append of :meth:`Simulator.schedule`, inline rather
+        # than a kernel method: every process wake-up passes here, and a
+        # method call per wake-up measured ~2% slower per openloop-pods
+        # pass (DESIGN.md decision 9).
+        bucket = sim._buckets.get(when)
+        if bucket is None:
+            sim._buckets[when] = [self._wake]
+            heappush(sim._times, when)
+        else:
+            bucket.append(self._wake)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "finished" if self.finished else "active"
@@ -280,12 +304,15 @@ class Simulator:
     lookup and a list append (plus one heap push for a new time); the run
     loops pop one time per bucket and dispatch its list in order.  List
     order is the same-time FIFO, so no sequence number is kept
-    (DESIGN.md decision 13).
+    (DESIGN.md decision 13).  Process wake-ups, signal triggers and the
+    commit board queue entries built once ahead of time (:meth:`entry`,
+    :meth:`schedule_entries`); each lands in the bucket and position the
+    equivalent :meth:`schedule` call would have used.
     """
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._buckets: Dict[float, List[Tuple[Callable[..., None], tuple]]] = {}
+        self._buckets: Dict[float, List[_Entry]] = {}
         self._times: List[float] = []
         self.processed_events = 0
         self._processes: List[Process] = []
@@ -336,13 +363,39 @@ class Simulator:
         else:
             bucket.append((callback, args))
 
+    @staticmethod
+    def entry(callback: Callable[..., None], *args: Any) -> _Entry:
+        """Build a reusable event for :meth:`schedule_entries`: queuing it
+        runs ``callback(*args)``, exactly as ``schedule`` would."""
+        return (callback, args)
+
+    def schedule_entries(self, delay: float, entries: Sequence[_Entry]) -> None:
+        """Queue prebuilt :meth:`entry` events, in order, after ``delay``.
+
+        Each lands where ``schedule(delay, callback, *args)`` would have
+        put it, so callers that wake the same set of callbacks over and
+        over (the SEQ/Tardis commit board) build the entries once and pay
+        one dict lookup and one ``list.extend`` per batch.
+        """
+        if delay < 0:
+            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        if not entries:
+            return
+        when = self.now + delay
+        bucket = self._buckets.get(when)
+        if bucket is None:
+            self._buckets[when] = list(entries)
+            heappush(self._times, when)
+        else:
+            bucket.extend(entries)
+
     def process(
         self, generator: Generator[Any, Any, Any], name: str = ""
     ) -> Process:
         """Register ``generator`` as a process and start it at the current time."""
         proc = Process(self, generator, name=name)
         self._processes.append(proc)
-        self.schedule(0.0, proc._resume, None)
+        self.schedule_entries(0.0, (proc._wake,))
         return proc
 
     def signal(self, name: str = "") -> Signal:

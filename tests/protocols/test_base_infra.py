@@ -54,6 +54,30 @@ class TestDirectoryDispatch:
         assert machine.stats.value("stall.test_cause") == 5.0
 
 
+class TestLoadResponses:
+    @pytest.mark.parametrize("protocol", ["cord", "tardis", "wb"])
+    def test_response_no_request_waits_for_raises(self, protocol):
+        config = SystemConfig().scaled(hosts=2, cores_per_host=1)
+        machine = Machine(config, protocol=protocol)
+        port = machine.add_core(0, ProgramBuilder().build()).port
+        stray = Message(machine.directories[1].node_id, port.node,
+                        "load_resp", 16, False, {"req_id": 7, "value": 1})
+        with pytest.raises(RuntimeError, match="unexpected load response"):
+            port.on_message(stray)
+
+    def test_repeated_response_raises(self):
+        """Once a load completes, its response is no longer awaited."""
+        config = SystemConfig().scaled(hosts=2, cores_per_host=1)
+        machine = Machine(config, protocol="cord")
+        addr = machine.address_map.address_in_host(1, 0x9000)
+        machine.run({0: ProgramBuilder().load(addr, register="r0").build()})
+        port = machine.cores[0].port
+        repeat = Message(machine.directories[1].node_id, port.node,
+                         "load_resp", 16, False, {"req_id": 0, "value": 0})
+        with pytest.raises(RuntimeError, match="unexpected load response"):
+            port.on_message(repeat)
+
+
 class TestWriteCombiningDefaultRejection:
     def test_wb_port_rejects_wc_emission(self):
         """WB keeps its own store path; the base emission hook must refuse."""

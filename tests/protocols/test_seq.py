@@ -7,8 +7,10 @@ from repro.config import CXL, CordConfig, MessageSizeConfig
 from repro.harness import RunSpec
 from repro.harness.executor import _execute_spec
 from repro.harness.experiments import default_config
+from repro.protocols.seq import SeqCommitBoard
 from repro.protocols.spec import get_spec
 from repro.protocols.table import SeqCorePort, table_protocol_classes
+from repro.sim import Simulator
 from repro.workloads.table2 import APPLICATIONS
 from tests.protocols.conftest import producer_consumer
 
@@ -102,6 +104,45 @@ class TestReleaseRmw:
         extra = two_hosts.message_sizes.metadata_overhead_bytes(40)
         assert extra > 0
         assert release.inter_host_bytes - relaxed.inter_host_bytes == extra
+
+
+class TestCommitBoard:
+    """The board wakes every subscriber but the committing one, at the
+    commit time, behind the events already due, in subscription order."""
+
+    @staticmethod
+    def _board():
+        sim = Simulator()
+        board = SeqCommitBoard(sim)
+        log = []
+        origins = [object(), object(), object()]
+        for tag, origin in zip("abc", origins):
+            board.subscribe(origin,
+                            lambda tag=tag: log.append((tag, sim.now)))
+        return sim, board, origins, log
+
+    def test_commit_wakes_the_others_once_each_after_events_due(self):
+        sim, board, origins, log = self._board()
+        sim.schedule(3.0, board.commit, 0, origins[1])
+        sim.schedule(3.0, lambda: log.append(("due", sim.now)))
+        sim.run()
+        assert log == [("due", 3.0), ("a", 3.0), ("c", 3.0)]
+        assert board.count(0) == 1
+
+    def test_commit_without_origin_wakes_every_subscriber(self):
+        sim, board, _origins, log = self._board()
+        sim.schedule(2.0, board.commit, 5)
+        sim.run()
+        assert log == [("a", 2.0), ("b", 2.0), ("c", 2.0)]
+
+    @pytest.mark.parametrize("committer", [0, 1, 2])
+    def test_committing_subscriber_is_never_woken(self, committer):
+        sim, board, origins, log = self._board()
+        board.commit(0, origin=origins[committer])
+        board.commit(1, origin=origins[committer])
+        sim.run()
+        others = [tag for index, tag in enumerate("abc") if index != committer]
+        assert [tag for tag, _now in log] == others + others
 
 
 class TestFactory:

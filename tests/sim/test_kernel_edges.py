@@ -223,6 +223,61 @@ class TestSameTimeDispatch:
         drive(sim, [sim.process(watched(), name="watched")])
         assert log == ["a", "b", "c", "a+0", "a@5", "d"]
 
+    @pytest.mark.parametrize("value", ["v", None],
+                             ids=["with_value", "without_value"])
+    def test_signal_waiters_resume_after_events_already_due(self, value):
+        """A trigger queues its waiters behind every event already due at
+        that time, in the order they started waiting (not the order the
+        processes were created), each receiving the trigger's value."""
+        sim = Simulator()
+        sig = sim.signal("ready")
+        log = []
+
+        def waiter(tag, delay):
+            yield delay
+            got = yield sig
+            log.append((tag, got, sim.now))
+
+        # Created w1, w2, w3; they wait from t=1 (w3), 2 (w1) and 3 (w2).
+        procs = [sim.process(waiter("w1", 2.0), name="w1"),
+                 sim.process(waiter("w2", 3.0), name="w2"),
+                 sim.process(waiter("w3", 1.0), name="w3")]
+
+        def fire():
+            log.append(("fire", None, sim.now))
+            sig.trigger(value)
+
+        sim.schedule(5.0, fire)
+        sim.schedule(5.0, lambda: log.append(("b", None, sim.now)))
+        sim.schedule(5.0, lambda: log.append(("c", None, sim.now)))
+        drive(sim, procs)
+        assert log == [("fire", None, 5.0), ("b", None, 5.0),
+                       ("c", None, 5.0), ("w3", value, 5.0),
+                       ("w1", value, 5.0), ("w2", value, 5.0)]
+
+    def test_int_and_float_delays_queue_behind_a_scheduled_event(self):
+        """``yield 5`` and ``yield 5.0`` wake at the same float time as a
+        ``schedule(5.0, ...)`` made earlier at that time, behind it and in
+        scheduling order."""
+        sim = Simulator()
+        log = []
+
+        def note(tag):
+            log.append((tag, sim.now))
+
+        def sleeper(tag, delay):
+            yield 0.1
+            yield delay
+            note(tag)
+
+        sim.schedule(0.1, lambda: sim.schedule(5.0, note, "callback"))
+        procs = [sim.process(sleeper("int", 5), name="int"),
+                 sim.process(sleeper("float", 5.0), name="float")]
+        drive(sim, procs)
+        when = 0.1 + 5.0
+        assert log == [("callback", when), ("int", when), ("float", when)]
+        assert all(type(now) is float for _tag, now in log)
+
     def test_finish_mid_time_leaves_the_rest_pending_in_order(self):
         sim = Simulator()
         log = []

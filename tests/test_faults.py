@@ -410,6 +410,50 @@ class TestStallWindows:
         assert times == [500.0]
 
 
+class TestFlapWindows:
+    @pytest.mark.parametrize("order", [1, -1], ids=["plan_order", "reversed"])
+    def test_overlapping_flaps_hold_in_either_order(self, order):
+        """Regression: each flap was checked once, in plan order, so the
+        hold by a later flap could land inside an earlier one's down
+        window and the departure depended on the order of
+        ``FaultPlan.flaps``."""
+        flaps = (FlapSpec(period_ns=10_000.0, down_ns=100.0,
+                          offset_ns=1_000.0),
+                 FlapSpec(period_ns=10_000.0, down_ns=150.0,
+                          offset_ns=900.0))
+        plan = FaultPlan(flaps=flaps[::order])
+        network, src, dst, times = _delivery_times(plan)
+        # Sent at 950 ns, inside [900, 1050); released at 1050 ns, inside
+        # [1000, 1100): the link is up again at 1100 ns.
+        network.sim.schedule_at(950.0, network.send,
+                                _cross_msg(src, dst, size=64))
+        network.sim.run()
+        ser = network.config.interconnect.serialization_ns(64)
+        latency = network.topology.latency_ns(src, dst)
+        assert times == [1_100.0 + ser + latency]
+        assert times == [pytest.approx(1_251.0)]          # on CXL
+
+    def test_flaps_that_can_cover_all_time_are_rejected(self):
+        # 60/100 + 60/100 >= 1: the two down windows [0, 60) and
+        # [50, 110) of every period leave the link no up time, so the
+        # repeat-until-up pass would never end.
+        flaps = (FlapSpec(period_ns=100.0, down_ns=60.0),
+                 FlapSpec(period_ns=100.0, down_ns=60.0, offset_ns=50.0))
+        with pytest.raises(ValueError, match="flaps"):
+            FaultPlan(flaps=flaps)
+
+    def test_down_share_is_summed_per_source_link(self):
+        # Each link sees its own host's flaps: 0.45 + 0.45 on host 0 and
+        # 0.9 on host 1, both below 1 although their total is not.  An
+        # every-host flap adds to every link: 0.9 + 0.1 on host 1 is 1.
+        FaultPlan(flaps=(FlapSpec(period_ns=100.0, down_ns=45.0, host=0),
+                         FlapSpec(period_ns=100.0, down_ns=45.0, host=0),
+                         FlapSpec(period_ns=100.0, down_ns=90.0, host=1)))
+        with pytest.raises(ValueError, match="flaps"):
+            FaultPlan(flaps=(FlapSpec(period_ns=100.0, down_ns=90.0, host=1),
+                             FlapSpec(period_ns=1_000.0, down_ns=100.0)))
+
+
 class TestWireSequence:
     def test_each_pair_numbers_its_own_messages(self):
         """The pair channel counts its own messages: sends on pairs that
