@@ -6,12 +6,15 @@ rows/series the paper plots (run with ``pytest benchmarks/ --benchmark-only
 ``benchmark.pedantic`` — the measured quantity is the experiment itself, not
 a microbenchmark loop.
 
-All benchmarks are marked ``bench`` (select with ``-m bench``) and run
-through a shared harness :class:`~repro.harness.Executor`, so
+All benchmarks are marked ``bench`` (select with ``-m bench``).  Every
+simulation and model-checker run they make goes through a shared harness
+:class:`~repro.harness.Executor` (none builds a ``Machine`` itself), so in
+every benchmark
 
-* ``REPRO_JOBS=N`` parallelizes each figure's sweep across N workers, and
+* ``REPRO_JOBS=N`` parallelizes the sweep across N workers,
 * repeated invocations recall finished runs from the on-disk cache
-  (``REPRO_CACHE_DIR``, default ``.repro-cache``) instead of re-simulating.
+  (``REPRO_CACHE_DIR``, default ``.repro-cache``) instead of re-simulating,
+  and ``REPRO_NO_CACHE=1`` turns that cache off.
 """
 
 import os

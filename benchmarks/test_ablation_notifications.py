@@ -10,18 +10,30 @@ quantifies the mechanism's contribution.
 import pytest
 
 from benchmarks.conftest import run_once, show
-from repro.harness import run_micro
+from repro.harness import RunSpec, default_config, default_executor
 from repro.workloads import MicroSpec
+
+FANOUTS = (1, 3, 7)
 
 
 def _sweep():
+    points = [(fanout, protocol) for fanout in FANOUTS
+              for protocol in ("cord", "cord-nonotify", "so")]
+    specs = [
+        RunSpec(kind="micro", protocol=protocol,
+                workload=MicroSpec(fanout=fanout, sync_granularity=1024,
+                                   total_bytes=32 * 1024),
+                config=default_config(hosts=max(2, fanout + 1),
+                                      cores_per_host=1),
+                seed=0, experiment="ablation-notify")
+        for fanout, protocol in points
+    ]
+    measured = dict(zip(points, default_executor().map(specs)))
     rows = []
-    for fanout in (1, 3, 7):
-        spec = MicroSpec(fanout=fanout, sync_granularity=1024,
-                         total_bytes=32 * 1024)
-        cord = run_micro(spec, "cord")
-        ablated = run_micro(spec, "cord-nonotify")
-        so = run_micro(spec, "so")
+    for fanout in FANOUTS:
+        cord = measured[fanout, "cord"]
+        ablated = measured[fanout, "cord-nonotify"]
+        so = measured[fanout, "so"]
         rows.append({
             "fanout": fanout,
             "cord_time_ns": cord.quiesce_ns,

@@ -10,25 +10,32 @@ advantage over SO is preserved with combining enabled.
 import pytest
 
 from benchmarks.conftest import run_once, show
-from repro.harness import default_config, run_app
+from repro.harness import RunSpec, default_config, default_executor
 from repro.workloads import app
 
 
 def _sweep():
-    rows = []
     spec = app("PR").scaled(iterations=4)
-    for wc_lines in (0, 4):
-        config = default_config().with_write_combining(wc_lines)
-        for protocol in ("cord", "so", "mp"):
-            result = run_app(spec, protocol, config)
-            rows.append({
-                "wc_lines": wc_lines,
-                "protocol": protocol,
-                "time_ns": result.time_ns,
-                "traffic_B": result.inter_host_bytes,
-                "data_msgs": result.message_count("wt_rlx")
-                + result.message_count("wt_store"),
-            })
+    points = [(wc_lines, protocol)
+              for wc_lines in (0, 4) for protocol in ("cord", "so", "mp")]
+    specs = [
+        RunSpec(kind="app", protocol=protocol, workload=spec,
+                config=default_config().with_write_combining(wc_lines),
+                seed=0, experiment="ablation-wc")
+        for wc_lines, protocol in points
+    ]
+    rows = []
+    for (wc_lines, protocol), record in zip(
+        points, default_executor().map(specs)
+    ):
+        rows.append({
+            "wc_lines": wc_lines,
+            "protocol": protocol,
+            "time_ns": record.time_ns,
+            "traffic_B": record.inter_host_bytes,
+            "data_msgs": record.message_count("wt_rlx")
+            + record.message_count("wt_store"),
+        })
     return rows
 
 

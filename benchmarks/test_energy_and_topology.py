@@ -12,9 +12,9 @@ import pytest
 
 from benchmarks.conftest import run_once, show
 from repro.config import SystemConfig
+from repro.harness import RunSpec, default_executor
 from repro.overheads import energy_comparison
-from repro.protocols.machine import Machine
-from repro.workloads import app, build_workload_programs
+from repro.workloads import app
 
 
 def _energy_rows():
@@ -44,22 +44,29 @@ def test_energy_comparison(benchmark):
         assert sub["cord"]["protocol_overhead_pct"] < 1.5
 
 
+POD_COUNTS = (1, 2, 4)
+
+
 def _pod_rows():
     spec = app("CR").scaled(iterations=4)
+    points = [(pods, protocol) for pods in POD_COUNTS
+              for protocol in ("cord", "so")]
+    specs = [
+        RunSpec(kind="app", protocol=protocol, workload=spec,
+                config=(SystemConfig().scaled(hosts=4, cores_per_host=2)
+                        .with_pods(pods)),
+                seed=0, experiment="topology-pods")
+        for pods, protocol in points
+    ]
+    measured = dict(zip(points, default_executor().map(specs)))
     rows = []
-    for pods in (1, 2, 4):
-        config = (SystemConfig().scaled(hosts=4, cores_per_host=2)
-                  .with_pods(pods))
-        times = {}
-        for protocol in ("cord", "so"):
-            machine = Machine(config, protocol=protocol)
-            times[protocol] = machine.run(
-                build_workload_programs(spec, config)
-            ).time_ns
+    for pods in POD_COUNTS:
+        cord = measured[pods, "cord"].time_ns
+        so = measured[pods, "so"].time_ns
         rows.append({
             "pods": pods,
-            "cord_time_ns": times["cord"],
-            "so_vs_cord": times["so"] / times["cord"],
+            "cord_time_ns": cord,
+            "so_vs_cord": so / cord,
         })
     return rows
 

@@ -7,9 +7,8 @@ and deadlock freedom.  This sweep runs our equivalent suite exhaustively.
 """
 
 from benchmarks.conftest import run_once
-from repro.litmus import full_suite
+from repro.litmus import CheckSpec, full_suite
 from repro.litmus.dsl import LitmusTest, ld, poll_acq, st, st_rel
-from repro.litmus.model_checker import ModelChecker
 
 
 def test_full_litmus_suite(benchmark, shared_executor):
@@ -21,7 +20,7 @@ def test_full_litmus_suite(benchmark, shared_executor):
     assert [r.workload for r in records if not r.passed] == []
 
 
-def test_isa2_mp_violation(benchmark):
+def test_isa2_mp_violation(benchmark, shared_executor):
     """Fig. 3's headline: MP reaches the RC-forbidden ISA2 outcome."""
     isa2 = LitmusTest(
         name="ISA2",
@@ -34,14 +33,10 @@ def test_isa2_mp_violation(benchmark):
         forbidden=[{"P2:r2": 1, "P2:r3": 0}],
     )
 
-    def check_all():
-        return {
-            protocol: ModelChecker(isa2, protocol=protocol).run()
-            for protocol in ("cord", "so", "mp")
-        }
-
-    results = run_once(benchmark, check_all)
-    assert results["cord"].passed
-    assert results["so"].passed
-    assert not results["mp"].passed
-    assert results["mp"].forbidden_reached
+    specs = [CheckSpec(test=isa2, protocol=protocol)
+             for protocol in ("cord", "so", "mp")]
+    cord, so, mp = run_once(benchmark, shared_executor.map, specs)
+    assert cord.passed
+    assert so.passed
+    assert not mp.passed
+    assert mp.forbidden_reached

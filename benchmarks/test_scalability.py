@@ -14,30 +14,32 @@ import pytest
 
 from benchmarks.conftest import run_once, show
 from repro.config import CXL
-from repro.harness import default_config
-from repro.overheads import collect_storage
-from repro.protocols.machine import Machine
-from repro.workloads import app, build_workload_programs
+from repro.harness import RunSpec, default_config, default_executor
+from repro.workloads import app
+
+HOST_COUNTS = (2, 4, 8)
 
 
 def _sweep():
-    rows = []
     base = app("MOCFE").scaled(iterations=6)
-    for hosts in (2, 4, 8):
-        spec = replace(base, fanout=min(base.fanout, hosts - 1))
-        config = default_config(CXL, hosts=hosts)
-        times = {}
-        storage = None
-        for protocol in ("cord", "so"):
-            machine = Machine(config, protocol=protocol)
-            result = machine.run(build_workload_programs(spec, config))
-            times[protocol] = result.time_ns
-            if protocol == "cord":
-                storage = collect_storage(result)
+    points = [(hosts, protocol) for hosts in HOST_COUNTS
+              for protocol in ("cord", "so")]
+    specs = [
+        RunSpec(kind="app", protocol=protocol,
+                workload=replace(base, fanout=min(base.fanout, hosts - 1)),
+                config=default_config(CXL, hosts=hosts),
+                seed=0, experiment="scalability")
+        for hosts, protocol in points
+    ]
+    measured = dict(zip(points, default_executor().map(specs)))
+    rows = []
+    for hosts in HOST_COUNTS:
+        cord = measured[hosts, "cord"]
+        storage = cord.storage_report()
         rows.append({
             "hosts": hosts,
-            "cord_time_ns": times["cord"],
-            "so_vs_cord": times["so"] / times["cord"],
+            "cord_time_ns": cord.time_ns,
+            "so_vs_cord": measured[hosts, "so"].time_ns / cord.time_ns,
             "max_proc_B": storage.max_proc_bytes,
             "max_dir_B": storage.max_dir_bytes,
         })

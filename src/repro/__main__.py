@@ -98,6 +98,11 @@ from repro.workloads import APPLICATIONS
 #: Fig. 8 and Fig. 9 panels: the application parameter each one sweeps.
 _PANELS = ("store", "sync", "fanout")
 
+#: The experiments that take a positional argument, and what it names;
+#: every other experiment takes none.
+_POSITIONAL = {"fig8": "panel", "fig9": "panel",
+               "breakdown": "app", "energy": "app"}
+
 
 def _run_litmus(executor: Executor) -> None:
     """Model-check the full suite through ``executor`` (with ``--faults``,
@@ -236,15 +241,6 @@ def main(argv=None) -> int:
     command, rest = args[0], args[1:]
     panel = rest[0] if rest else "store"
     app_name = rest[0] if rest else "CR"
-    if command in ("fig8", "fig9") and panel not in _PANELS:
-        print(f"unknown {command} panel {panel!r}; choose from "
-              f"{list(_PANELS)}")
-        return 2
-    if command in ("breakdown", "energy") and app_name not in APPLICATIONS:
-        print(f"unknown application {app_name!r}; choose from "
-              f"{list(APPLICATIONS)}")
-        return 2
-
     ex = executor
     experiments = {
         "fig2": lambda: print_rows(
@@ -278,17 +274,34 @@ def main(argv=None) -> int:
                                      f"Energy: {app_name} (§5.4 constants)"),
     }
 
-    # Route any harness call made behind these entry points (and "all")
-    # through the same configured executor.
+    # Usage errors exit 2 before anything runs.
+    if command != "all" and command not in experiments:
+        print(f"unknown experiment {command!r}; choose from "
+              f"{sorted(experiments)} or 'all'")
+        return 2
+    takes = _POSITIONAL.get(command)
+    if len(rest) > (1 if takes else 0):
+        allowed = (f"one positional argument ({takes})" if takes
+                   else "no positional arguments")
+        print(f"{command} takes {allowed}, got {rest!r}")
+        return 2
+    if takes == "panel" and panel not in _PANELS:
+        print(f"unknown {command} panel {panel!r}; choose from "
+              f"{list(_PANELS)}")
+        return 2
+    if takes == "app" and app_name not in APPLICATIONS:
+        print(f"unknown application {app_name!r}; choose from "
+              f"{list(APPLICATIONS)}")
+        return 2
+
+    # Route every harness call behind these entry points (and "all"),
+    # including those that take no executor argument, through the
+    # configured executor.
     previous = set_default_executor(executor)
     try:
         if command == "all":
             for name, runner in experiments.items():
                 runner()
-        elif command not in experiments:
-            print(f"unknown experiment {command!r}; choose from "
-                  f"{sorted(experiments)} or 'all'")
-            return 2
         else:
             experiments[command]()
     finally:

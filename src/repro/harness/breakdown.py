@@ -12,8 +12,10 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.config import SystemConfig
-from repro.harness.experiments import default_config, run_app
+from repro.harness.executor import default_executor
+from repro.harness.experiments import _app_spec, default_config
 from repro.protocols.machine import RunResult
+from repro.sim.stats import RunStats
 from repro.workloads.table2 import APPLICATIONS
 
 __all__ = ["message_breakdown", "protocol_comparison",
@@ -27,20 +29,22 @@ CONTROL_TYPES = frozenset({
 
 
 def message_breakdown(
-    result: RunResult, scope: str = "inter_host"
+    result: RunStats, scope: str = "inter_host"
 ) -> List[Dict[str, Any]]:
-    """Per-message-type counts/bytes for one run, sorted by bytes."""
-    stats = result.stats.as_dict()
+    """Per-message-type counts/bytes for one run, sorted by bytes.
+
+    ``result`` is a live :class:`~repro.protocols.machine.RunResult` or an
+    executor :class:`~repro.harness.executor.RunRecord`; both give the
+    same rows for the same run."""
     prefix_msgs = f"msgs.{scope}."
-    prefix_bytes = f"bytes.{scope}."
     rows: List[Dict[str, Any]] = []
-    for name, count in stats.items():
+    for name, count in result.stat_items():
         if not name.startswith(prefix_msgs):
             continue
         msg_type = name[len(prefix_msgs):]
         if msg_type == "ctrl_count":
             continue
-        total_bytes = stats.get(prefix_bytes + msg_type, 0.0)
+        total_bytes = result.stat(f"bytes.{scope}.{msg_type}")
         rows.append({
             "type": msg_type,
             "messages": int(count),
@@ -62,8 +66,7 @@ def stall_attribution_rows(
     Each row carries the span count, total stalled time and — when the
     run's execution time is known — the Fig. 2-style percentage of that
     time.  Raises :class:`ValueError` for untraced runs (build the
-    machine with ``trace=True`` or pass ``trace=True`` to
-    :func:`~repro.harness.experiments.run_app`).
+    machine with ``trace=True``).
     """
     trace = result.trace
     if trace is None:
@@ -86,14 +89,18 @@ def protocol_comparison(
     config: Optional[SystemConfig] = None,
     consistency: str = "rc",
 ) -> List[Dict[str, Any]]:
-    """Message breakdowns for one Table-2 app across protocols."""
+    """Message breakdowns for one Table-2 app across protocols, one seed-0
+    run each through the default executor."""
     if app_name not in APPLICATIONS:
         raise KeyError(f"unknown application {app_name!r}")
     config = config or default_config()
+    specs = [
+        _app_spec(app_name, protocol, config, consistency,
+                  experiment="breakdown")
+        for protocol in protocols
+    ]
     rows: List[Dict[str, Any]] = []
-    for protocol in protocols:
-        result = run_app(APPLICATIONS[app_name], protocol, config,
-                         consistency)
-        for row in message_breakdown(result):
+    for protocol, record in zip(protocols, default_executor().map(specs)):
+        for row in message_breakdown(record):
             rows.append(dict(row, protocol=protocol, app=app_name))
     return rows

@@ -9,7 +9,7 @@ config) point.  This module turns that structure into infrastructure:
   CORD table provisioning, seed and event budget).
 * :class:`RunRecord` — the serializable measurements of one run: final
   stats, timings, per-node peak storage, event count and a final-state
-  hash.  It mirrors the accessors experiments use on
+  hash.  It shares the accessors experiments use on
   :class:`~repro.protocols.machine.RunResult` (``inter_host_bytes``,
   ``core_stall_ns`` ...) so harness code is agnostic to which one it holds.
 * :class:`Executor` — expands experiments into flat spec lists, runs them
@@ -50,11 +50,12 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.config import CordConfig, SystemConfig
 from repro.faults import FaultPlan, parse_faults
 from repro.sim import SimulationError
+from repro.sim.stats import RunStats
 from repro.workloads.ata import AtaSpec, build_ata_programs
 from repro.workloads.base import WorkloadSpec, build_workload_programs
 from repro.workloads.micro import MicroSpec, build_micro_programs
@@ -274,13 +275,13 @@ def _worker_for(spec: Any) -> Any:
 # Records
 # ---------------------------------------------------------------------------
 @dataclass
-class RunRecord:
+class RunRecord(RunStats):
     """Serializable measurements of one completed run.
 
-    Mirrors the accessors experiments use on
-    :class:`~repro.protocols.machine.RunResult`, but carries no live
-    simulator state, so it crosses process boundaries and round-trips
-    through the on-disk cache losslessly.
+    Shares :class:`~repro.protocols.machine.RunResult`'s traffic and stall
+    accessors (both derive from :class:`~repro.sim.stats.RunStats`), but
+    carries no live simulator state, so it crosses process boundaries and
+    round-trips through the on-disk cache losslessly.
     """
 
     spec_key: str
@@ -313,33 +314,12 @@ class RunRecord:
     trace_events: int = 0
     trace_dropped: int = 0
 
-    # -- RunResult-compatible accessors --------------------------------
+    # -- RunStats accessors ---------------------------------------------
     def stat(self, name: str) -> float:
         return self.stats.get(name, 0.0)
 
-    @property
-    def inter_host_bytes(self) -> float:
-        return self.stat("traffic.inter_host.total")
-
-    @property
-    def inter_host_control_bytes(self) -> float:
-        return self.stat("traffic.inter_host.ctrl")
-
-    @property
-    def inter_host_data_bytes(self) -> float:
-        return self.stat("traffic.inter_host.data")
-
-    def message_count(self, msg_type: str, scope: str = "inter_host") -> float:
-        return self.stat(f"msgs.{scope}.{msg_type}")
-
-    def stall_ns(self, cause: Optional[str] = None) -> float:
-        if cause is None:
-            return sum(v for n, v in self.stats.items()
-                       if n.startswith("stall."))
-        return self.stat(f"stall.{cause}")
-
-    def core_stall_ns(self, core_id: int, cause: str) -> float:
-        return self.stat(f"core{core_id}.stall.{cause}")
+    def stat_items(self) -> Iterable[Tuple[str, float]]:
+        return self.stats.items()
 
     def span_stall_ns(self, cause: Optional[str] = None,
                       core: Optional[int] = None) -> float:

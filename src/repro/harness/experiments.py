@@ -22,23 +22,19 @@ harnesses.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import CXL, UPI, CordConfig, InterconnectConfig, SystemConfig
 from repro.faults import DegradeSpec, DropSpec, FaultPlan
 from repro.harness.executor import Executor, RunSpec, default_executor
-from repro.harness.report import format_table, geometric_mean, normalize_to
-from repro.overheads.cacti import Table3Row, cord_overhead_table, overhead_ratios
-from repro.protocols.machine import Machine, RunResult
+from repro.harness.report import format_table, normalize_to
+from repro.overheads.cacti import cord_overhead_table, overhead_ratios
 from repro.workloads.ata import AtaSpec
-from repro.workloads.base import WorkloadSpec, build_workload_programs
-from repro.workloads.micro import MicroSpec, build_micro_programs
+from repro.workloads.micro import MicroSpec
 from repro.workloads.table2 import APPLICATIONS, app_names
 
 __all__ = [
     "default_config",
-    "run_app",
-    "run_micro",
     "fig2_source_ordering_overheads",
     "fig5_message_counts",
     "fig7_end_to_end",
@@ -68,41 +64,8 @@ def default_config(
 
 
 # ---------------------------------------------------------------------------
-# Shared runners
+# Shared helpers
 # ---------------------------------------------------------------------------
-def run_app(
-    spec: WorkloadSpec,
-    protocol: str,
-    config: Optional[SystemConfig] = None,
-    consistency: str = "rc",
-    trace: bool = False,
-) -> RunResult:
-    config = config or default_config()
-    machine = Machine(config, protocol=protocol, consistency=consistency,
-                      trace=trace)
-    return machine.run(build_workload_programs(spec, config))
-
-
-def run_micro(
-    spec: MicroSpec,
-    protocol: str,
-    config: Optional[SystemConfig] = None,
-    consistency: str = "rc",
-    cord_config: Optional[CordConfig] = None,
-    trace: bool = False,
-) -> RunResult:
-    # Single-producer micro: one LLC slice per host keeps the directories
-    # touched per epoch within Table 3's processor-table provisioning.
-    config = config or default_config(
-        hosts=max(2, spec.fanout + 1), cores_per_host=1
-    )
-    if cord_config is not None:
-        config = replace(config, cord=cord_config)
-    machine = Machine(config, protocol=protocol, consistency=consistency,
-                      trace=trace)
-    return machine.run(build_micro_programs(spec, config))
-
-
 def _producer_cores(config: SystemConfig) -> List[int]:
     return [h * config.cores_per_host for h in range(config.hosts)]
 
@@ -285,6 +248,32 @@ def fig13_tso(
 _F8_PROTOCOLS = ("mp", "cord", "so")
 
 
+def _sensitivity_point(
+    parameter: str, value: int, total_bytes: int,
+    interconnect: InterconnectConfig,
+) -> Tuple[MicroSpec, SystemConfig]:
+    """The Fig. 8/9 micro-benchmark with ``parameter`` set to ``value`` and
+    the others at the paper's defaults (64 B stores, 4 KB sync, fan-out 1).
+
+    Single-producer micro: one core, so one LLC slice, per host keeps the
+    directories touched per epoch within Table 3's processor-table
+    provisioning."""
+    params = {"store": 64, "sync": 4 * 1024, "fanout": 1}
+    params[parameter] = value
+    if params["sync"] < params["store"]:
+        params["store"] = params["sync"]
+    spec = MicroSpec(
+        store_granularity=params["store"],
+        sync_granularity=params["sync"],
+        fanout=params["fanout"],
+        total_bytes=max(total_bytes, params["sync"] * 4),
+    )
+    config = default_config(
+        interconnect, hosts=max(2, params["fanout"] + 1), cores_per_host=1,
+    )
+    return spec, config
+
+
 def fig8_sensitivity(
     parameter: str,
     values: Optional[Sequence[int]] = None,
@@ -296,7 +285,6 @@ def fig8_sensitivity(
     ``"fanout"``; other parameters stay at the paper's defaults (64 B
     stores, 4 KB sync, fan-out 1)."""
     executor = executor or default_executor()
-    defaults = {"store": 64, "sync": 4 * 1024, "fanout": 1}
     sweep = {
         "store": values or (8, 64, 256, 1024, 4096),
         "sync": values or (64, 512, 4 * 1024, 32 * 1024, 256 * 1024),
@@ -307,20 +295,8 @@ def fig8_sensitivity(
     specs = []
     for interconnect in interconnects:
         for value in sweep:
-            params = dict(defaults)
-            params[parameter] = value
-            if params["sync"] < params["store"]:
-                params["store"] = params["sync"]
-            spec = MicroSpec(
-                store_granularity=params["store"],
-                sync_granularity=params["sync"],
-                fanout=params["fanout"],
-                total_bytes=max(total_bytes, params["sync"] * 4),
-            )
-            config = default_config(
-                interconnect, hosts=max(2, params["fanout"] + 1),
-                cores_per_host=1,
-            )
+            spec, config = _sensitivity_point(parameter, value, total_bytes,
+                                              interconnect)
             for protocol in _F8_PROTOCOLS:
                 points.append((interconnect, value, protocol))
                 specs.append(_micro_spec(spec, protocol, config,
@@ -364,7 +340,6 @@ def fig9_latency_sweep(
     """SO's time and traffic normalized to CORD as inter-PU latency varies,
     for several settings of one application parameter (Fig. 9)."""
     executor = executor or default_executor()
-    defaults = {"store": 64, "sync": 4 * 1024, "fanout": 1}
     sweep = {
         "store": values or (8, 64, 4096),
         "sync": values or (64, 4 * 1024, 256 * 1024),
@@ -374,24 +349,12 @@ def fig9_latency_sweep(
     points = []
     specs = []
     for value in sweep:
-        params = dict(defaults)
-        params[parameter] = value
-        if params["sync"] < params["store"]:
-            params["store"] = params["sync"]
-        spec = MicroSpec(
-            store_granularity=params["store"],
-            sync_granularity=params["sync"],
-            fanout=params["fanout"],
-            total_bytes=max(total_bytes, params["sync"] * 4),
-        )
         for latency in latencies_ns:
             interconnect = InterconnectConfig(
                 name=f"L{latency}", inter_host_latency_ns=float(latency)
             )
-            config = default_config(
-                interconnect, hosts=max(2, params["fanout"] + 1),
-                cores_per_host=1,
-            )
+            spec, config = _sensitivity_point(parameter, value, total_bytes,
+                                              interconnect)
             for protocol in ("so", "cord"):
                 points.append((value, latency, protocol))
                 specs.append(_micro_spec(spec, protocol, config,

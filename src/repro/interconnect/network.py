@@ -321,15 +321,3 @@ class Network:
         type_bytes.add(size)
         if ctrl_count is not None:
             ctrl_count.add(1)
-
-    # ------------------------------------------------------------------
-    # Queries used by harnesses
-    # ------------------------------------------------------------------
-    def inter_host_bytes(self) -> float:
-        return self.stats.value("traffic.inter_host.total")
-
-    def inter_host_control_bytes(self) -> float:
-        return self.stats.value("traffic.inter_host.ctrl")
-
-    def inter_host_data_bytes(self) -> float:
-        return self.stats.value("traffic.inter_host.data")

@@ -13,7 +13,7 @@ communicated data size*, §3.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.overheads.cacti import (
     LINK_ENERGY_PJ_PER_BIT,
@@ -85,26 +85,32 @@ def energy_comparison(
     config=None,
 ) -> List[Dict[str, Any]]:
     """Energy rows for one Table-2 application across protocols,
-    normalized to CORD."""
-    from repro.harness.experiments import default_config, run_app
-    from repro.workloads.table2 import APPLICATIONS
+    normalized to CORD: one seed-0 run each through the default executor,
+    priced from each record's ``energy`` (see :func:`estimate_energy`)."""
+    from repro.harness.executor import default_executor
+    from repro.harness.experiments import _app_spec, default_config
 
     config = config or default_config()
-    reports: Dict[str, EnergyReport] = {}
-    for protocol in protocols:
-        result = run_app(APPLICATIONS[app_name], protocol, config)
-        reports[protocol] = estimate_energy(result)
-    cord_total = reports.get("cord").total_nj if "cord" in reports else None
+    specs = [_app_spec(app_name, protocol, config, experiment="energy")
+             for protocol in protocols]
+    energies: Dict[str, Dict[str, float]] = {
+        protocol: record.energy
+        for protocol, record in zip(protocols, default_executor().map(specs))
+    }
+    cord_total = energies["cord"]["total_nj"] if "cord" in energies else None
     rows: List[Dict[str, Any]] = []
-    for protocol, report in reports.items():
+    for protocol, energy in energies.items():
+        base = energy["link_nj"] + energy["llc_nj"]
         rows.append({
             "app": app_name,
             "protocol": protocol,
-            "link_nJ": report.link_nj,
-            "llc_nJ": report.llc_nj,
-            "table_nJ": report.table_nj,
-            "total_nJ": report.total_nj,
-            "vs_cord": (report.total_nj / cord_total) if cord_total else None,
-            "protocol_overhead_pct": 100 * report.protocol_overhead_fraction,
+            "link_nJ": energy["link_nj"],
+            "llc_nJ": energy["llc_nj"],
+            "table_nJ": energy["table_nj"],
+            "total_nJ": energy["total_nj"],
+            "vs_cord": (energy["total_nj"] / cord_total) if cord_total else None,
+            # EnergyReport.protocol_overhead_fraction, as a percentage.
+            "protocol_overhead_pct":
+                100 * (energy["table_nj"] / base if base else 0.0),
         })
     return rows

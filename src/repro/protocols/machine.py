@@ -19,7 +19,7 @@ breakdowns, protocol-table storage, and the value-level history.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.config import SystemConfig
 from repro.consistency.history import ExecutionHistory
@@ -31,12 +31,13 @@ from repro.memory.address import AddressMap
 from repro.memory.llc import LlcSlice
 from repro.protocols.factory import protocol_classes
 from repro.sim import Simulator, StatRegistry
+from repro.sim.stats import RunStats
 
 __all__ = ["Machine", "RunResult"]
 
 
 @dataclass
-class RunResult:
+class RunResult(RunStats):
     """Measurements from one :meth:`Machine.run`."""
 
     time_ns: float
@@ -50,37 +51,15 @@ class RunResult:
     quiesce_ns: float = 0.0
 
     # ------------------------------------------------------------------
-    # Traffic (the paper's "traffic" = inter-host bytes)
+    # Traffic and stalls (the accessors come from RunStats)
     # ------------------------------------------------------------------
-    @property
-    def inter_host_bytes(self) -> float:
-        return self.stats.value("traffic.inter_host.total")
+    def stat(self, name: str) -> float:
+        # Counters only; derived names (``.max``, ``.p99``) are in
+        # ``stats.as_dict()``, which a RunRecord's ``stats`` already is.
+        return self.stats.value(name)
 
-    @property
-    def inter_host_control_bytes(self) -> float:
-        return self.stats.value("traffic.inter_host.ctrl")
-
-    @property
-    def inter_host_data_bytes(self) -> float:
-        return self.stats.value("traffic.inter_host.data")
-
-    def message_count(self, msg_type: str, scope: str = "inter_host") -> float:
-        return self.stats.value(f"msgs.{scope}.{msg_type}")
-
-    # ------------------------------------------------------------------
-    # Stalls
-    # ------------------------------------------------------------------
-    def stall_ns(self, cause: Optional[str] = None) -> float:
-        if cause is None:
-            total = 0.0
-            for name, value in self.stats.as_dict().items():
-                if name.startswith("stall."):
-                    total += value
-            return total
-        return self.stats.value(f"stall.{cause}")
-
-    def core_stall_ns(self, core_id: int, cause: str) -> float:
-        return self.stats.value(f"core{core_id}.stall.{cause}")
+    def stat_items(self) -> Iterable[Tuple[str, float]]:
+        return self.stats.as_dict().items()
 
     # ------------------------------------------------------------------
     # Tracing (None unless the machine was built with ``trace=``)

@@ -22,7 +22,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.consistency.ops import MemOp, Ordering
+from repro.consistency.ops import MemOp
 
 __all__ = ["CombinedWrite", "WriteCombiningBuffer"]
 
@@ -38,10 +38,6 @@ class CombinedWrite:
     merged: int          # how many stores were coalesced
     #: Per-address values of the coalesced stores (the line's byte image).
     values: Dict[int, int] = field(default_factory=dict)
-
-    def as_op(self) -> MemOp:
-        return MemOp.store(self.addr, value=self.value, size=self.size,
-                           ordering=Ordering.RELAXED)
 
 
 class WriteCombiningBuffer:

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
-__all__ = ["Counter", "MaxTracker", "Accumulator", "StatRegistry"]
+__all__ = ["Counter", "MaxTracker", "Accumulator", "StatRegistry", "RunStats"]
 
 
 class Counter:
@@ -200,3 +200,58 @@ class StatRegistry:
             head, _, tail = name.partition(".")
             groups[head][tail or head] = value
         return dict(groups)
+
+
+class RunStats:
+    """Traffic and stall accessors over one finished run's statistics.
+
+    :class:`~repro.protocols.machine.RunResult` (a live run) and
+    :class:`~repro.harness.executor.RunRecord` (its serializable, cacheable
+    form) both derive from this, so harness code reads either one the same
+    way.  A subclass supplies :meth:`stat` and :meth:`stat_items`; every
+    accessor here reads counters through those two.
+    """
+
+    __slots__ = ()
+
+    def stat(self, name: str) -> float:
+        """The named counter's value (0.0 if the run never touched it).
+
+        Only counter names read alike on every subclass: a ``RunRecord``
+        also answers the derived names of :meth:`StatRegistry.as_dict`
+        (``<name>.max``, ``.total``, ``.p99`` ...), a ``RunResult`` reads
+        those as 0.0.  The accessors below therefore ask for counters
+        alone.
+        """
+        raise NotImplementedError
+
+    def stat_items(self) -> Iterable[Tuple[str, float]]:
+        """Every ``(name, value)`` pair of the flattened stats, in
+        :meth:`StatRegistry.as_dict` order."""
+        raise NotImplementedError
+
+    # The paper's "traffic" is inter-host bytes.
+    @property
+    def inter_host_bytes(self) -> float:
+        return self.stat("traffic.inter_host.total")
+
+    @property
+    def inter_host_control_bytes(self) -> float:
+        return self.stat("traffic.inter_host.ctrl")
+
+    @property
+    def inter_host_data_bytes(self) -> float:
+        return self.stat("traffic.inter_host.data")
+
+    def message_count(self, msg_type: str, scope: str = "inter_host") -> float:
+        return self.stat(f"msgs.{scope}.{msg_type}")
+
+    def stall_ns(self, cause: Optional[str] = None) -> float:
+        """Stall time for one cause, or summed over every cause."""
+        if cause is None:
+            return sum((value for name, value in self.stat_items()
+                        if name.startswith("stall.")), 0.0)
+        return self.stat(f"stall.{cause}")
+
+    def core_stall_ns(self, core_id: int, cause: str) -> float:
+        return self.stat(f"core{core_id}.stall.{cause}")

@@ -8,7 +8,8 @@ from repro.harness.breakdown import (
     message_breakdown,
     protocol_comparison,
 )
-from repro.workloads import app, build_workload_programs
+from repro.harness.experiments import default_config
+from repro.workloads import APPLICATIONS, app, build_workload_programs
 
 
 @pytest.fixture(scope="module")
@@ -64,3 +65,17 @@ class TestProtocolComparison:
         assert rows
         assert all(r["protocol"] == "cord" and r["app"] == "CR"
                    for r in rows)
+
+    @pytest.mark.parametrize("consistency", ["rc", "tso"])
+    def test_rows_equal_direct_seed0_runs(self, consistency):
+        # Reference: the seed-0 Machine runs its executor specs describe.
+        config = default_config()
+        expected = []
+        for protocol in ("mp", "cord", "so"):
+            machine = Machine(config, protocol=protocol,
+                              consistency=consistency, seed=0)
+            result = machine.run(
+                build_workload_programs(APPLICATIONS["CR"], config))
+            expected += [dict(row, protocol=protocol, app="CR")
+                         for row in message_breakdown(result)]
+        assert protocol_comparison("CR", consistency=consistency) == expected

@@ -20,10 +20,11 @@ from repro.harness import (
 )
 from repro.harness.executor import _execute_spec, code_version
 from repro.sim import DeadlockError
-from repro.harness.experiments import default_config, run_micro
+from repro.harness.experiments import default_config
 from repro.litmus import LitmusTest, ld, poll_acq, st, st_rel
-from repro.workloads.micro import MicroSpec
-from repro.workloads.openloop import OpenLoopSpec
+from repro.protocols.machine import Machine
+from repro.workloads.micro import MicroSpec, build_micro_programs
+from repro.workloads.openloop import OpenLoopSpec, build_openloop_programs
 from repro.workloads.table2 import APPLICATIONS
 
 MICRO = MicroSpec(store_granularity=64, sync_granularity=1024,
@@ -161,17 +162,69 @@ class TestPinnedKeys:
                 == self.CHECKS["default"][1])
 
 
+def direct_micro_run(protocol="cord"):
+    """The run ``micro_spec(protocol)`` describes, on a hand-built Machine."""
+    config = default_config(CXL, hosts=2, cores_per_host=1)
+    machine = Machine(config, protocol=protocol, seed=0)
+    return machine.run(build_micro_programs(MICRO, config))
+
+
 class TestRecord:
     def test_record_matches_direct_run(self):
         record = _execute_spec(micro_spec())
-        direct = run_micro(MICRO, "cord",
-                           default_config(CXL, hosts=2, cores_per_host=1))
+        direct = direct_micro_run()
         assert record.time_ns == direct.time_ns
         assert record.quiesce_ns == direct.quiesce_ns
         assert record.inter_host_bytes == direct.inter_host_bytes
         assert record.stats == direct.stats.as_dict()
         assert record.events > 0
         assert record.wall_time_s > 0
+
+    @pytest.mark.parametrize("protocol", ["cord", "so"])
+    def test_shared_accessors_answer_alike(self, protocol):
+        record = _execute_spec(micro_spec(protocol))
+        direct = direct_micro_run(protocol)
+        assert list(record.stat_items()) == list(direct.stat_items())
+        for accessor in ("inter_host_bytes", "inter_host_control_bytes",
+                         "inter_host_data_bytes"):
+            assert getattr(record, accessor) == getattr(direct, accessor)
+        assert record.stall_ns() == direct.stall_ns() > 0
+        for cause in ("wait_wt_ack", "wait_drain", "never_recorded"):
+            assert record.stall_ns(cause) == direct.stall_ns(cause)
+            assert (record.core_stall_ns(0, cause)
+                    == direct.core_stall_ns(0, cause))
+        for msg_type in ("wt_rlx", "wt_store", "wt_ack", "rel_ack"):
+            for scope in ("inter_host", "intra_host"):
+                assert (record.message_count(msg_type, scope)
+                        == direct.message_count(msg_type, scope))
+
+    def test_shared_accessors_read_no_derived_name(self):
+        # stat() is portable for counters only: the record answers an
+        # accumulator's derived names, the live result reads them as 0.0.
+        config = default_config(CXL, hosts=2, cores_per_host=2)
+        spec = RunSpec(kind="openloop", protocol="cord", config=config,
+                       workload=OpenLoopSpec(requests=8), seed=0)
+        record = _execute_spec(spec)
+        direct = Machine(config, protocol="cord", seed=0).run(
+            build_openloop_programs(spec.workload, config))
+        derived = {name for name, _ in record.stat_items()
+                   if record.stat(name) != direct.stat(name)}
+        assert "openloop.delivery_latency_ns.max" in derived
+        assert all(name.startswith("openloop.") for name in derived)
+        asked, answers = [], []
+        for stats in (record, direct):
+            stat = stats.stat
+            stats.stat = lambda name, stat=stat: asked.append(name) or stat(name)
+            answers.append((
+                stats.inter_host_bytes, stats.inter_host_control_bytes,
+                stats.inter_host_data_bytes, stats.stall_ns(),
+                stats.stall_ns("wait_wt_ack"),
+                stats.core_stall_ns(0, "wait_drain"),
+                stats.message_count("wt_rlx"),
+                stats.message_count("wt_ack", "intra_host"),
+            ))
+        assert answers[0] == answers[1]
+        assert len(asked) == 14 and not derived.intersection(asked)
 
     def test_json_round_trip_is_lossless(self):
         record = _execute_spec(micro_spec())

@@ -109,20 +109,20 @@ class TestAccounting:
     def test_inter_host_bytes_counted(self, setup):
         sim, network, _, core, _, remote_dir = setup
         network.send(_msg(core, remote_dir, size=100))
-        assert network.inter_host_bytes() == 100
+        assert network.stats.value("traffic.inter_host.total") == 100
 
     def test_intra_host_not_counted_as_inter(self, setup):
         sim, network, _, core, local_dir, _ = setup
         network.send(_msg(core, local_dir, size=100))
-        assert network.inter_host_bytes() == 0
+        assert network.stats.value("traffic.inter_host.total") == 0
         assert network.stats.value("traffic.intra_host.total") == 100
 
     def test_control_vs_data_split(self, setup):
         sim, network, _, core, _, remote_dir = setup
         network.send(_msg(core, remote_dir, size=16, control=True))
         network.send(_msg(core, remote_dir, size=80, control=False))
-        assert network.inter_host_control_bytes() == 16
-        assert network.inter_host_data_bytes() == 80
+        assert network.stats.value("traffic.inter_host.ctrl") == 16
+        assert network.stats.value("traffic.inter_host.data") == 80
 
     def test_per_message_type_counts_and_bytes(self, setup):
         sim, network, _, core, _, remote_dir = setup

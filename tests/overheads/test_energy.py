@@ -3,8 +3,9 @@
 import pytest
 
 from repro import Machine, SystemConfig
+from repro.harness.experiments import default_config
 from repro.overheads.energy import energy_comparison, estimate_energy
-from repro.workloads import app, build_workload_programs
+from repro.workloads import APPLICATIONS, app, build_workload_programs
 
 
 @pytest.fixture(scope="module")
@@ -58,3 +59,25 @@ class TestComparison:
         assert by_protocol["cord"]["vs_cord"] == pytest.approx(1.0)
         assert by_protocol["so"]["vs_cord"] > 1.0
         assert by_protocol["mp"]["vs_cord"] <= 1.0 + 1e-9
+
+    def test_rows_equal_direct_seed0_runs(self):
+        # Reference: the seed-0 Machine runs its executor specs describe,
+        # priced live by estimate_energy.
+        config = default_config()
+        reports = {}
+        for protocol in ("mp", "cord", "so"):
+            machine = Machine(config, protocol=protocol, seed=0)
+            reports[protocol] = estimate_energy(machine.run(
+                build_workload_programs(APPLICATIONS["CR"], config)))
+        cord_total = reports["cord"].total_nj
+        expected = [{
+            "app": "CR",
+            "protocol": protocol,
+            "link_nJ": report.link_nj,
+            "llc_nJ": report.llc_nj,
+            "table_nJ": report.table_nj,
+            "total_nJ": report.total_nj,
+            "vs_cord": report.total_nj / cord_total,
+            "protocol_overhead_pct": 100 * report.protocol_overhead_fraction,
+        } for protocol, report in reports.items()]
+        assert energy_comparison("CR") == expected

@@ -54,6 +54,55 @@ class TestCli:
         assert repr(argument) in out and choice in out
         assert "[executor]" not in out
 
+    @pytest.mark.parametrize("argv", [
+        ["table3", "bogus", "extra"],
+        ["fig8", "store", "bogus"],
+        ["fig9", "fanout", "bogus"],
+        ["breakdown", "CR", "bogus"],
+        ["energy", "CR", "bogus", "extra"],
+    ], ids=["table3", "fig8", "fig9", "breakdown", "energy"])
+    def test_stray_positional_arguments_fail(self, capsys, argv):
+        # Only fig8/fig9 (panel) and breakdown/energy (app) take one.
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert "positional" in out
+        assert "'bogus'" in out
+        if "extra" in argv:
+            assert "'extra'" in out
+        assert "==" not in out  # no experiment printed a table
+        assert "[executor]" not in out
+
+
+def _table(out):
+    """CLI output minus the executor summary line."""
+    return [line for line in out.splitlines()
+            if not line.startswith("[executor]")]
+
+
+class TestBreakdownAndEnergyCli:
+    """Both commands run through the executor, so its flags apply."""
+
+    def test_breakdown_applies_faults(self, capsys):
+        assert main(["breakdown", "CR", "--no-cache"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["breakdown", "CR", "--no-cache",
+                     "--faults", "drop+dup"]) == 0
+        faulted = capsys.readouterr().out
+        assert "wt_ack" in _table(plain)[-1]  # so's last row
+        assert _table(faulted)[:3] == _table(plain)[:3]  # title + header
+        assert _table(faulted) != _table(plain)
+        assert "[executor] jobs=1 cache=off hits=0 misses=3" in faulted
+
+    def test_energy_logs_its_three_runs(self, tmp_path, capsys):
+        log = tmp_path / "runs.jsonl"
+        assert main(["energy", "CR", "--cache-dir", str(tmp_path / "cache"),
+                     "--run-log", str(log)]) == 0
+        assert "misses=3" in capsys.readouterr().out
+        runs = read_run_log(log)
+        assert [run["protocol"] for run in runs] == ["mp", "cord", "so"]
+        assert all(run["experiment"] == "energy" and run["workload"] == "CR"
+                   and not run["cached"] for run in runs)
+
 
 class TestLitmusCli:
     def test_failing_sweep_exits_one(self, monkeypatch, capsys):
