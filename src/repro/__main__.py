@@ -22,9 +22,13 @@ Usage::
     python -m repro resilience      # time/traffic under injected faults
     python -m repro scale           # open-loop protocol x topology x load
                                     # sweep -> run_table.csv + crossover
-    python -m repro all             # everything (slow)
+    python -m repro all             # everything but modelcheck and scale
+                                    # (slow)
 
-Executor options (any experiment):
+Flags may come before or after the command; -h or --help anywhere prints
+this text.
+
+Executor options (every command; modelcheck takes the first four):
 
     --jobs N          run independent simulations across N worker processes
     --cache-dir PATH  result-cache directory (default: $REPRO_CACHE_DIR or
@@ -57,25 +61,25 @@ Modelcheck options (``modelcheck`` only; see ``repro.harness.modelcheck``):
                       bounds for the 'generated' suite (defaults:
                       32/0/2/2/2/3); --gen-atomics adds fetch-and-adds.
                       Any --gen-* flag with another suite is an error
-    plus --jobs/--cache-dir/--no-cache/--run-log as above
 
 Scale options (``scale`` only; see ``repro.harness.scale``):
 
-    --quick           CI grid: 3 sizes x 2 protocols x 2 loads, short
+    --quick           CI grid: 3 sizes x 3 protocols x 2 loads, short
                       horizons (the full grid reaches 64 hosts / 8 pods)
     --out DIR         artifact directory for run_table.csv +
                       run_table.columns.md (default: scale-out)
     --reps N          repetitions per grid point (default 2)
-    plus the executor flags as above
 """
 
 from __future__ import annotations
 
+import dataclasses
 import sys
-from typing import List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.harness import (
     Executor,
+    crossover_report,
     default_cache_dir,
     fig2_source_ordering_overheads,
     fig7_end_to_end,
@@ -85,12 +89,18 @@ from repro.harness import (
     fig11_storage,
     fig12_storage_breakdown,
     fig13_tso,
+    format_table,
     print_rows,
     protocol_comparison,
     resilience_sweep,
+    scale_sweep,
     set_default_executor,
+    suite_cases,
     table3_area_power,
+    write_run_table,
 )
+from repro.harness.modelcheck import check_suite
+from repro.litmus import GeneratorParams
 from repro.overheads import energy_comparison
 from repro.workloads import APPLICATIONS
 
@@ -98,19 +108,52 @@ from repro.workloads import APPLICATIONS
 #: Fig. 8 and Fig. 9 panels: the application parameter each one sweeps.
 _PANELS = ("store", "sync", "fanout")
 
-#: The experiments that take a positional argument, and what it names;
-#: every other experiment takes none.
-_POSITIONAL = {"fig8": "panel", "fig9": "panel",
-               "breakdown": "app", "energy": "app"}
+#: The commands that take a positional argument, and what it names;
+#: every other command takes none.
+_POSITIONAL = {"fig8": "panel", "fig9": "panel", "breakdown": "app",
+               "energy": "app", "modelcheck": "suite"}
+
+#: What follows each flag: nothing (None), text (str), or an integer no
+#: smaller than the number given.
+_FLAGS: Dict[str, Any] = {
+    "--jobs": 1, "--cache-dir": str, "--no-cache": None, "--run-log": str,
+    "--trace": None, "--trace-out": str, "--faults": str,
+    "--max-states": 1, "--no-por": None, "--symmetry": None,
+    "--no-symmetry": None, "--visited-db": str, "--spill-threshold": 0,
+    "--gen-count": 1, "--gen-seed": 0, "--gen-threads": 1, "--gen-locs": 1,
+    "--gen-values": 1, "--gen-ops": 1, "--gen-atomics": None,
+    "--quick": None, "--out": str, "--reps": 1,
+}
+
+#: Flags that undo each other: of the two, the one given last holds.
+_UNDOES = {"--cache-dir": "--no-cache", "--no-cache": "--cache-dir",
+           "--symmetry": "--no-symmetry", "--no-symmetry": "--symmetry"}
+
+_EXECUTOR_FLAGS = frozenset(("--jobs", "--cache-dir", "--no-cache",
+                             "--run-log", "--trace", "--trace-out",
+                             "--faults"))
+_SCALE_FLAGS = frozenset(("--quick", "--out", "--reps"))
+
+#: The flags each command takes; a command not listed takes the
+#: executor flags.  Model checking runs untimed, so it takes neither
+#: tracing nor faults.
+_COMMAND_FLAGS = {
+    "modelcheck": frozenset(_FLAGS) - _SCALE_FLAGS
+    - {"--trace", "--trace-out", "--faults"},
+    "scale": _EXECUTOR_FLAGS | _SCALE_FLAGS,
+}
 
 
-def _run_litmus(executor: Executor) -> None:
+class _UsageError(Exception):
+    """A command-line mistake: :func:`main` prints it and exits 2."""
+
+
+def _litmus(executor: Executor) -> None:
     """Model-check the full suite through ``executor`` (with ``--faults``,
     run the timed fault sweep instead); exit 1 when any case fails."""
     if executor.faults is not None:
         passed = _run_fault_litmus(executor.faults)
     else:
-        from repro.harness.modelcheck import check_suite
         from repro.litmus import full_suite
         passed = check_suite(full_suite(), executor, "litmus sweep")
     if not passed:
@@ -136,176 +179,201 @@ def _run_fault_litmus(faults) -> bool:
     return passed
 
 
-def _parse_executor_flags(
-    args: List[str],
-) -> Tuple[Optional[List[str]], Optional[Executor]]:
-    """Strip the executor flags (``--jobs/--cache-dir/--no-cache/
-    --run-log/--trace/--trace-out/--faults``) from ``args``.
+def _modelcheck(executor: Executor, suite: str,
+                options: Dict[str, Any]) -> None:
+    """Check ``suite`` with the checker flags in ``options``; exit 1 when
+    any case fails.  A flag that would change nothing is a usage error."""
+    gen_flags = [flag for flag in options if flag.startswith("--gen-")]
+    if gen_flags and suite != "generated":
+        raise _UsageError(f"{gen_flags[0]} applies only to the generated "
+                          f"suite, not {suite!r}")
+    if "--spill-threshold" in options and "--visited-db" not in options:
+        raise _UsageError("--spill-threshold needs --visited-db DIR; "
+                          "without it the visited set never leaves memory")
+    params = GeneratorParams(
+        threads=options.get("--gen-threads", 2),
+        locations=options.get("--gen-locs", 2),
+        values=options.get("--gen-values", 2),
+        ops_per_thread=options.get("--gen-ops", 3),
+        atomics="--gen-atomics" in options)
+    try:
+        cases = suite_cases(suite, gen_count=options.get("--gen-count", 32),
+                            gen_seed=options.get("--gen-seed", 0),
+                            gen_params=params)
+    except ValueError as err:   # unknown suite
+        raise _UsageError(err)
+    specs = [dataclasses.replace(
+        case, max_states=options.get("--max-states", 500_000),
+        por="--no-por" not in options,
+        symmetry="--no-symmetry" not in options,
+        visited_db=options.get("--visited-db"),
+        spill_threshold=options.get("--spill-threshold")) for case in cases]
+    if not check_suite(specs, executor, f"modelcheck[{suite}]"):
+        raise SystemExit(1)
 
-    Returns (remaining args, executor), or (None, None) on a usage error
-    (after printing a message)."""
-    remaining: List[str] = []
-    jobs = 1
-    cache_dir: Optional[str] = str(default_cache_dir())
-    run_log: Optional[str] = None
-    trace_dir: Optional[str] = None
+
+def _scale(executor: Executor, options: Dict[str, Any]) -> None:
+    """Run the open-loop scale sweep, write its run table and print the
+    crossover report."""
+    rows = scale_sweep(quick="--quick" in options,
+                       repetitions=options.get("--reps", 2),
+                       executor=executor)
+    csv_path, columns_path = write_run_table(
+        rows, options.get("--out", "scale-out"))
+    report = crossover_report(rows)
+    if report:
+        print("== Scale: p99 delivery latency vs cord (crossover) ==")
+        print(format_table(report))
+    print(f"run table: {csv_path} ({len(rows)} rows); "
+          f"columns: {columns_path}")
+
+
+def _parse(args: List[str]
+           ) -> Tuple[Optional[str], List[str], Dict[str, Any]]:
+    """Split ``args`` into the command, its positional arguments and its
+    flags (flag -> value; True for a flag followed by nothing), wherever
+    the flags appear.  The command is None when ``args`` names none or
+    asks for help."""
+    command: Optional[str] = None
+    positional: List[str] = []
+    options: Dict[str, Any] = {}
     index = 0
-
-    faults: Optional[str] = None
-
-    def value_of(flag: str) -> Optional[str]:
-        nonlocal index
-        if index + 1 >= len(args):
-            print(f"{flag} requires a value")
-            return None
-        index += 1
-        return args[index]
-
     while index < len(args):
         arg = args[index]
-        if arg == "--jobs":
-            value = value_of("--jobs")
-            if value is None:
-                return None, None
-            try:
-                jobs = int(value)
-                if jobs < 1:
-                    raise ValueError
-            except ValueError:
-                print(f"--jobs expects a positive integer, got {value!r}")
-                return None, None
-        elif arg == "--cache-dir":
-            value = value_of("--cache-dir")
-            if value is None:
-                return None, None
-            cache_dir = value
-        elif arg == "--no-cache":
-            cache_dir = None
-        elif arg == "--run-log":
-            value = value_of("--run-log")
-            if value is None:
-                return None, None
-            run_log = value
-        elif arg == "--trace":
-            trace_dir = trace_dir or ".repro-traces"
-        elif arg == "--trace-out":
-            value = value_of("--trace-out")
-            if value is None:
-                return None, None
-            trace_dir = value
-        elif arg == "--faults":
-            value = value_of("--faults")
-            if value is None:
-                return None, None
-            faults = value
-        elif arg.startswith("--") and arg not in ("-h", "--help"):
-            print(f"unknown option {arg!r}")
-            return None, None
-        else:
-            remaining.append(arg)
         index += 1
+        if arg in ("-h", "--help"):
+            return None, [], {}
+        if not arg.startswith("-"):
+            if command is None:
+                command = arg
+            else:
+                positional.append(arg)
+            continue
+        if arg not in _FLAGS:
+            raise _UsageError(f"unknown option {arg!r}")
+        follows, value = _FLAGS[arg], True
+        if follows is not None:
+            if index == len(args):
+                raise _UsageError(f"{arg} requires a value")
+            value = text = args[index]
+            index += 1
+            if follows is not str:
+                try:
+                    value = int(text)
+                    if value < follows:
+                        raise ValueError
+                except ValueError:
+                    raise _UsageError(f"{arg} expects an integer of at "
+                                      f"least {follows}, got {text!r}")
+        options.pop(_UNDOES.get(arg), None)
+        options[arg] = value
+    return command, positional, options
+
+
+def _runs(command: str, rest: List[str], options: Dict[str, Any]
+          ) -> List[Callable[[Executor], None]]:
+    """What ``command`` runs: one call per experiment (``all`` runs every
+    experiment but ``modelcheck`` and ``scale``), each taking the
+    executor.  Raises :class:`_UsageError` for a mistake in the command,
+    its positional arguments ``rest`` or its flags ``options``."""
+    panel = rest[0] if rest else "store"
+    app_name = rest[0] if rest else "CR"
+    suite = rest[0] if rest else "full"
+    experiments: Dict[str, Callable[[Executor], None]] = {
+        "fig2": lambda ex: print_rows(
+            fig2_source_ordering_overheads(executor=ex),
+            "Fig. 2: SO ack overheads"),
+        "fig7": lambda ex: print_rows(fig7_end_to_end(executor=ex),
+                                      "Fig. 7: end-to-end (RC)"),
+        "fig8": lambda ex: print_rows(fig8_sensitivity(panel, executor=ex),
+                                      f"Fig. 8: {panel} sensitivity"),
+        "fig9": lambda ex: print_rows(
+            fig9_latency_sweep(parameter=panel, executor=ex),
+            f"Fig. 9: latency sweep ({panel})"),
+        "fig10": lambda ex: print_rows(fig10_bitwidth(executor=ex),
+                                       "Fig. 10: bit-widths"),
+        "fig11": lambda ex: print_rows(fig11_storage(executor=ex),
+                                       "Fig. 11: storage"),
+        "fig12": lambda ex: print_rows(fig12_storage_breakdown(executor=ex),
+                                       "Fig. 12: ATA breakdown"),
+        "fig13": lambda ex: print_rows(fig13_tso(executor=ex),
+                                       "Fig. 13: end-to-end (TSO)"),
+        "table3": lambda ex: print_rows(table3_area_power(),
+                                        "Table 3: area/power"),
+        "litmus": _litmus,
+        "resilience": lambda ex: print_rows(
+            resilience_sweep(executor=ex),
+            "Resilience: time/traffic under injected faults"),
+        "breakdown": lambda ex: print_rows(
+            protocol_comparison(app_name),
+            f"Message breakdown: {app_name} across protocols"),
+        "energy": lambda ex: print_rows(
+            energy_comparison(app_name),
+            f"Energy: {app_name} (§5.4 constants)"),
+    }
+    commands = dict(experiments,
+                    modelcheck=lambda ex: _modelcheck(ex, suite, options),
+                    scale=lambda ex: _scale(ex, options))
+
+    if command != "all" and command not in commands:
+        raise _UsageError(f"unknown experiment {command!r}; choose from "
+                          f"{sorted(commands)} or 'all'")
+    allowed = _COMMAND_FLAGS.get(command, _EXECUTOR_FLAGS)
+    for flag in options:
+        if flag not in allowed:
+            raise _UsageError(f"unknown option {flag!r}")
+    takes = _POSITIONAL.get(command)
+    if len(rest) > (1 if takes else 0):
+        allowed_args = (f"one positional argument ({takes})" if takes
+                        else "no positional arguments")
+        raise _UsageError(f"{command} takes {allowed_args}, got {rest!r}")
+    if takes == "panel" and panel not in _PANELS:
+        raise _UsageError(f"unknown {command} panel {panel!r}; choose "
+                          f"from {list(_PANELS)}")
+    if takes == "app" and app_name not in APPLICATIONS:
+        raise _UsageError(f"unknown application {app_name!r}; choose "
+                          f"from {list(APPLICATIONS)}")
+    if command == "all":
+        return list(experiments.values())
+    return [commands[command]]
+
+
+def _executor(options: Dict[str, Any]) -> Executor:
+    """The executor the executor flags among ``options`` describe."""
     try:
-        return remaining, Executor(jobs=jobs, cache_dir=cache_dir,
-                                   run_log=run_log, trace_dir=trace_dir,
-                                   faults=faults)
+        return Executor(
+            jobs=options.get("--jobs", 1),
+            cache_dir=(None if "--no-cache" in options
+                       else options.get("--cache-dir", default_cache_dir())),
+            run_log=options.get("--run-log"),
+            trace_dir=options.get(
+                "--trace-out",
+                ".repro-traces" if "--trace" in options else None),
+            faults=options.get("--faults"))
     except ValueError as err:   # unknown --faults preset
-        print(err)
-        return None, None
+        raise _UsageError(err)
 
 
 def main(argv=None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
-    if not args or args[0] in ("-h", "--help"):
-        print(__doc__)
-        return 0
-
-    if args[0] == "modelcheck":
-        # Suite-wide model checking has its own flags (SUITE/--max-states/
-        # --no-por) interleaved with the executor ones; it parses both.
-        from repro.harness.modelcheck import run_modelcheck_cli
-        return run_modelcheck_cli(args[1:])
-
-    if args[0] == "scale":
-        # The open-loop scaling sweep has its own flags (--quick/--out/
-        # --reps) interleaved with the executor ones; it parses both.
-        from repro.harness.scale import run_scale_cli
-        return run_scale_cli(args[1:])
-
-    args, executor = _parse_executor_flags(args)
-    if args is None or executor is None:
-        return 2
-    if not args:
-        print(__doc__)
-        return 0
-
-    command, rest = args[0], args[1:]
-    panel = rest[0] if rest else "store"
-    app_name = rest[0] if rest else "CR"
-    ex = executor
-    experiments = {
-        "fig2": lambda: print_rows(
-            fig2_source_ordering_overheads(executor=ex),
-            "Fig. 2: SO ack overheads"),
-        "fig7": lambda: print_rows(fig7_end_to_end(executor=ex),
-                                   "Fig. 7: end-to-end (RC)"),
-        "fig8": lambda: print_rows(fig8_sensitivity(panel, executor=ex),
-                                   f"Fig. 8: {panel} sensitivity"),
-        "fig9": lambda: print_rows(
-            fig9_latency_sweep(parameter=panel, executor=ex),
-            f"Fig. 9: latency sweep ({panel})"),
-        "fig10": lambda: print_rows(fig10_bitwidth(executor=ex),
-                                    "Fig. 10: bit-widths"),
-        "fig11": lambda: print_rows(fig11_storage(executor=ex),
-                                    "Fig. 11: storage"),
-        "fig12": lambda: print_rows(fig12_storage_breakdown(executor=ex),
-                                    "Fig. 12: ATA breakdown"),
-        "fig13": lambda: print_rows(fig13_tso(executor=ex),
-                                    "Fig. 13: end-to-end (TSO)"),
-        "table3": lambda: print_rows(table3_area_power(),
-                                     "Table 3: area/power"),
-        "litmus": lambda: _run_litmus(ex),
-        "resilience": lambda: print_rows(
-            resilience_sweep(executor=ex),
-            "Resilience: time/traffic under injected faults"),
-        "breakdown": lambda: print_rows(
-            protocol_comparison(app_name),
-            f"Message breakdown: {app_name} across protocols"),
-        "energy": lambda: print_rows(energy_comparison(app_name),
-                                     f"Energy: {app_name} (§5.4 constants)"),
-    }
-
-    # Usage errors exit 2 before anything runs.
-    if command != "all" and command not in experiments:
-        print(f"unknown experiment {command!r}; choose from "
-              f"{sorted(experiments)} or 'all'")
-        return 2
-    takes = _POSITIONAL.get(command)
-    if len(rest) > (1 if takes else 0):
-        allowed = (f"one positional argument ({takes})" if takes
-                   else "no positional arguments")
-        print(f"{command} takes {allowed}, got {rest!r}")
-        return 2
-    if takes == "panel" and panel not in _PANELS:
-        print(f"unknown {command} panel {panel!r}; choose from "
-              f"{list(_PANELS)}")
-        return 2
-    if takes == "app" and app_name not in APPLICATIONS:
-        print(f"unknown application {app_name!r}; choose from "
-              f"{list(APPLICATIONS)}")
-        return 2
-
-    # Route every harness call behind these entry points (and "all"),
-    # including those that take no executor argument, through the
-    # configured executor.
-    previous = set_default_executor(executor)
     try:
-        if command == "all":
-            for name, runner in experiments.items():
-                runner()
-        else:
-            experiments[command]()
-    finally:
-        set_default_executor(previous)
+        command, rest, options = _parse(args)
+        if command is None:
+            print(__doc__)
+            return 0
+        runs = _runs(command, rest, options)
+        executor = _executor(options)
+        # Route every harness call behind the command (and "all"),
+        # including those that take no executor argument, through it.
+        previous = set_default_executor(executor)
+        try:
+            for run in runs:
+                run(executor)
+        finally:
+            set_default_executor(previous)
+    except _UsageError as err:   # raised before anything ran
+        print(err)
+        return 2
 
     if executor.hits or executor.misses:
         cache = executor.cache_dir if executor.cache_dir else "off"

@@ -15,17 +15,21 @@ from repro.config import SystemConfig
 from repro.harness.executor import default_executor
 from repro.harness.experiments import _app_spec, default_config
 from repro.protocols.machine import RunResult
-from repro.sim.stats import RunStats
+from repro.protocols.spec import get_spec, named_protocols
+from repro.sim.stats import RunStats, message_counts
 from repro.workloads.table2 import APPLICATIONS
 
 __all__ = ["message_breakdown", "protocol_comparison",
            "stall_attribution_rows", "CONTROL_TYPES"]
 
-#: Message types that are pure protocol control (no store payload).
-CONTROL_TYPES = frozenset({
-    "wt_ack", "rel_ack", "req_notify", "notify", "load_req", "seq_flush",
-    "seq_flush_ack", "getm", "gets", "inv", "inv_ack", "wb_ack",
-})
+#: Wire names of the messages a protocol table declares control (no
+#: store payload).  Every ``seq<k>`` table declares the same messages.
+CONTROL_TYPES = frozenset(
+    message.wire_name
+    for protocol in (*named_protocols(), "seq1")
+    for message in get_spec(protocol).messages.values()
+    if message.control
+)
 
 
 def message_breakdown(
@@ -36,14 +40,8 @@ def message_breakdown(
     ``result`` is a live :class:`~repro.protocols.machine.RunResult` or an
     executor :class:`~repro.harness.executor.RunRecord`; both give the
     same rows for the same run."""
-    prefix_msgs = f"msgs.{scope}."
     rows: List[Dict[str, Any]] = []
-    for name, count in result.stat_items():
-        if not name.startswith(prefix_msgs):
-            continue
-        msg_type = name[len(prefix_msgs):]
-        if msg_type == "ctrl_count":
-            continue
+    for msg_type, count in message_counts(result.stat_items(), scope):
         total_bytes = result.stat(f"bytes.{scope}.{msg_type}")
         rows.append({
             "type": msg_type,

@@ -55,7 +55,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from repro.config import CordConfig, SystemConfig
 from repro.faults import FaultPlan, parse_faults
 from repro.sim import SimulationError
-from repro.sim.stats import RunStats
+from repro.sim.stats import RunStats, inter_host_messages
 from repro.workloads.ata import AtaSpec, build_ata_programs
 from repro.workloads.base import WorkloadSpec, build_workload_programs
 from repro.workloads.micro import MicroSpec, build_micro_programs
@@ -577,10 +577,6 @@ class Executor:
     def _log(self, record: Any) -> None:
         if self.run_log is None:
             return
-        inter_host_msgs = sum(
-            v for n, v in record.stats.items()
-            if n.startswith("msgs.inter_host.")
-        )
         line = {
             "experiment": record.experiment,
             "spec_key": record.spec_key,
@@ -593,7 +589,7 @@ class Executor:
             "quiesce_ns": record.quiesce_ns,
             "wall_time_s": record.wall_time_s,
             "events": record.events,
-            "inter_host_msgs": inter_host_msgs,
+            "inter_host_msgs": inter_host_messages(record.stats.items()),
             "inter_host_bytes": record.inter_host_bytes,
             "trace_path": record.trace_path,
             "faults_injected": record.stat("faults.injected"),

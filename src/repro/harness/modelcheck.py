@@ -17,9 +17,8 @@ sweeps get the same infrastructure as the figure experiments:
   prints each failing case's reasons plus one summary line; both
   ``python -m repro litmus`` and ``python -m repro modelcheck`` report
   through it.
-* ``python -m repro modelcheck`` — the CLI sweep over the curated/classic/
-  custom/full suites with ``--jobs`` fan-out and cache reuse
-  (:func:`run_modelcheck_cli`).
+* :func:`suite_cases` — the named case sets (quick/classic/custom/
+  generated/full) that ``python -m repro modelcheck SUITE`` checks.
 
 The cache key includes the repo-wide code version, so editing the model
 checker or any protocol state machine invalidates cached verdicts; an
@@ -59,7 +58,6 @@ __all__ = [
     "suite_cases",
     "make_specs",
     "check_suite",
-    "run_modelcheck_cli",
 ]
 
 
@@ -299,119 +297,3 @@ def check_suite(specs: List[CheckSpec], executor: Executor,
           + (f" ({rate:,.0f} states/s explored)" if rate else "")
           + f" — {status}")
     return not failed
-
-
-# ---------------------------------------------------------------------------
-# CLI (python -m repro modelcheck)
-# ---------------------------------------------------------------------------
-def run_modelcheck_cli(argv: List[str]) -> int:
-    """``python -m repro modelcheck [SUITE] [options]``.
-
-    SUITE is ``quick``, ``classic``, ``custom``, ``generated`` or ``full``
-    (default).  Options: ``--max-states N``, ``--no-por``,
-    ``--no-symmetry``, ``--visited-db DIR`` / ``--spill-threshold N``
-    (disk-backed visited sets; the threshold needs the directory), the
-    ``generated``-suite shape flags ``--gen-count/--gen-seed/
-    --gen-threads/--gen-locs/--gen-values/--gen-ops/--gen-atomics`` (an
-    error on any other suite), and the executor flags ``--jobs N``,
-    ``--cache-dir PATH``, ``--no-cache``, ``--run-log PATH``.
-    Exit status 1 when any case fails, 2 on a usage error.
-    """
-    from repro.harness.executor import default_cache_dir
-
-    suite = "full"
-    por = symmetry = True
-    gen_atomics = False
-    visited_db: Optional[str] = None
-    cache_dir: Optional[str] = str(default_cache_dir())
-    run_log: Optional[str] = None
-    # Integer flags and their defaults; each must be >= 1 unless listed
-    # in ``zero_ok``.
-    numbers: Dict[str, Optional[int]] = {
-        "--max-states": 500_000, "--jobs": 1, "--spill-threshold": None,
-        "--gen-count": 32, "--gen-seed": 0, "--gen-threads": 2,
-        "--gen-locs": 2, "--gen-values": 2, "--gen-ops": 3,
-    }
-    zero_ok = ("--gen-seed", "--spill-threshold")
-    given: List[str] = []
-
-    index = 0
-    while index < len(argv):
-        arg = argv[index]
-        if arg in numbers or arg in ("--cache-dir", "--run-log",
-                                     "--visited-db"):
-            if index + 1 >= len(argv):
-                print(f"{arg} requires a value")
-                return 2
-            index += 1
-            value = argv[index]
-            if arg == "--cache-dir":
-                cache_dir = value
-            elif arg == "--run-log":
-                run_log = value
-            elif arg == "--visited-db":
-                visited_db = value
-            else:
-                try:
-                    number = int(value)
-                    if number < (0 if arg in zero_ok else 1):
-                        raise ValueError
-                except ValueError:
-                    print(f"{arg} expects a valid integer, got {value!r}")
-                    return 2
-                numbers[arg] = number
-        elif arg == "--no-por":
-            por = False
-        elif arg in ("--no-symmetry", "--symmetry"):
-            symmetry = arg == "--symmetry"
-        elif arg == "--gen-atomics":
-            gen_atomics = True
-        elif arg == "--no-cache":
-            cache_dir = None
-        elif arg.startswith("-"):
-            print(f"unknown modelcheck option {arg!r}; supported: SUITE "
-                  "--max-states N --no-por --symmetry/--no-symmetry "
-                  "--visited-db DIR --spill-threshold N "
-                  "--gen-count/--gen-seed/--gen-threads/--gen-locs/"
-                  "--gen-values/--gen-ops N --gen-atomics --jobs N "
-                  "--cache-dir PATH --no-cache --run-log PATH")
-            return 2
-        else:
-            suite = arg
-        given.append(arg)
-        index += 1
-
-    gen_flags = [arg for arg in given if arg.startswith("--gen-")]
-    if gen_flags and suite != "generated":
-        print(f"{gen_flags[0]} applies only to the generated suite, "
-              f"not {suite!r}")
-        return 2
-    spill_threshold = numbers["--spill-threshold"]
-    if spill_threshold is not None and visited_db is None:
-        print("--spill-threshold needs --visited-db DIR; without it the "
-              "visited set never leaves memory")
-        return 2
-
-    gen_params = None
-    if suite == "generated":
-        from repro.litmus.generate import GeneratorParams
-        gen_params = GeneratorParams(
-            threads=numbers["--gen-threads"],
-            locations=numbers["--gen-locs"],
-            values=numbers["--gen-values"],
-            ops_per_thread=numbers["--gen-ops"], atomics=gen_atomics)
-    try:
-        cases = suite_cases(suite, gen_count=numbers["--gen-count"],
-                            gen_seed=numbers["--gen-seed"],
-                            gen_params=gen_params)
-    except ValueError as err:
-        print(err)
-        return 2
-    specs = [dataclasses.replace(
-        case, max_states=numbers["--max-states"], por=por,
-        symmetry=symmetry, visited_db=visited_db,
-        spill_threshold=spill_threshold) for case in cases]
-    executor = Executor(jobs=numbers["--jobs"], cache_dir=cache_dir,
-                        run_log=run_log)
-    passed = check_suite(specs, executor, f"modelcheck[{suite}]")
-    return 0 if passed else 1

@@ -24,7 +24,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from repro.config import CXL, InterconnectConfig, SystemConfig
 from repro.harness.executor import Executor, RunSpec, default_executor
 from repro.harness.export import export_csv
-from repro.harness.report import format_table
 from repro.workloads.openloop import (
     DELIVERY_LATENCY_STAT,
     SOURCE_LATENCY_STAT,
@@ -40,7 +39,6 @@ __all__ = [
     "read_run_table",
     "validate_run_table",
     "crossover_report",
-    "run_scale_cli",
 ]
 
 #: (hosts, pods) topology points of the full sweep: the paper's Table-1
@@ -142,7 +140,7 @@ def scale_sweep(
 ) -> List[Dict[str, Any]]:
     """Run the scale grid; returns one ``run_table`` row per run x rep.
 
-    ``quick`` selects the CI-sized grid (3 sizes x 2 protocols x 2 loads
+    ``quick`` selects the CI-sized grid (3 sizes x 3 protocols x 2 loads
     x ``repetitions``, short horizons); explicit arguments override the
     selected defaults either way.  Rows come out in deterministic sweep
     order (protocol, then size, then load, then rep).
@@ -401,65 +399,3 @@ def crossover_report(
                 if crossover is None else f"{crossover[0]}x{crossover[1]}",
             })
     return report
-
-
-# ---------------------------------------------------------------------------
-# CLI: python -m repro scale [--quick] [--out DIR] [+ executor flags]
-# ---------------------------------------------------------------------------
-def run_scale_cli(args: List[str]) -> int:
-    """Entry point behind ``python -m repro scale``."""
-    from repro.__main__ import _parse_executor_flags
-
-    quick = False
-    out_dir = "scale-out"
-    repetitions = 2
-    rest: List[str] = []
-    index = 0
-    while index < len(args):
-        arg = args[index]
-        if arg == "--quick":
-            quick = True
-        elif arg == "--out":
-            if index + 1 >= len(args):
-                print("--out requires a value")
-                return 2
-            index += 1
-            out_dir = args[index]
-        elif arg == "--reps":
-            if index + 1 >= len(args):
-                print("--reps requires a value")
-                return 2
-            index += 1
-            try:
-                repetitions = int(args[index])
-                if repetitions < 1:
-                    raise ValueError
-            except ValueError:
-                print(f"--reps expects a positive integer, "
-                      f"got {args[index]!r}")
-                return 2
-        else:
-            rest.append(arg)
-        index += 1
-
-    remaining, executor = _parse_executor_flags(rest)
-    if remaining is None or executor is None:
-        return 2
-    if remaining:
-        print(f"scale takes no positional arguments, got {remaining!r}")
-        return 2
-
-    rows = scale_sweep(quick=quick, repetitions=repetitions,
-                       executor=executor)
-    csv_path, columns_path = write_run_table(rows, out_dir)
-    report = crossover_report(rows)
-    if report:
-        print("== Scale: p99 delivery latency vs cord (crossover) ==")
-        print(format_table(report))
-    print(f"run table: {csv_path} ({len(rows)} rows); "
-          f"columns: {columns_path}")
-    if executor.hits or executor.misses:
-        cache = executor.cache_dir if executor.cache_dir else "off"
-        print(f"[executor] jobs={executor.jobs} cache={cache} "
-              f"hits={executor.hits} misses={executor.misses}")
-    return 0

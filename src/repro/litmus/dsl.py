@@ -119,6 +119,16 @@ class LitmusTest:
     def threads(self) -> int:
         return len(self.programs)
 
+    def default_config(self) -> SystemConfig:
+        """The system a run of this test gets when given none: one host
+        per thread and per home host.  The timed runner and the model
+        checker both use it, so their differential compares one machine."""
+        hosts = max(
+            max(self.locations.values()) + 1 if self.locations else 1,
+            self.threads,
+        )
+        return SystemConfig().scaled(hosts=hosts)
+
     def resolve_address(self, config: SystemConfig, loc: str) -> int:
         """Physical address of a symbolic location."""
         address_map = AddressMap(config)

@@ -816,11 +816,7 @@ class ModelChecker:
         self.sc = sc
         if sc:
             tso = True  # SC subsumes TSO's store-store ordering
-        hosts = max(
-            max(test.locations.values()) + 1 if test.locations else 1,
-            test.threads,
-        )
-        self.config = config or SystemConfig().scaled(hosts=hosts)
+        self.config = config or test.default_config()
         self.cord_config = cord_config or self.config.cord
         self.tso = tso
         self.max_states = max_states

@@ -72,11 +72,7 @@ def run_timed(
     per ``seed``), letting repeated runs explore different timed
     interleavings — see :func:`fuzz_timed`.  ``faults`` attaches a
     fault-injection plan (see :mod:`repro.faults`)."""
-    hosts = max(
-        max(test.locations.values()) + 1 if test.locations else 1,
-        test.threads,
-    )
-    config = config or SystemConfig().scaled(hosts=hosts)
+    config = config or test.default_config()
     machine = Machine(config, protocol=protocol, latency_jitter=latency_jitter,
                       seed=seed, faults=faults)
     compiled = test.compile(config)

@@ -20,6 +20,7 @@ from repro.overheads.cacti import (
     LLC_WRITE_ENERGY_NJ_64B,
 )
 from repro.protocols.machine import RunResult
+from repro.sim.stats import inter_host_messages
 
 __all__ = ["EnergyReport", "estimate_energy", "energy_comparison"]
 
@@ -69,13 +70,9 @@ def estimate_energy(result: RunResult) -> EnergyReport:
             table_events += 2 * state.notifications_sent
     table_nj = table_events * _TABLE_ACCESS_NJ
 
-    messages = int(sum(
-        value for name, value in result.stats.as_dict().items()
-        if name.startswith("msgs.inter_host.") and name.count(".") == 2
-    ))
     return EnergyReport(
         link_nj=link_nj, llc_nj=llc_nj, table_nj=table_nj,
-        total_messages=messages,
+        total_messages=inter_host_messages(result.stat_items()),
     )
 
 

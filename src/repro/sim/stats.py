@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-__all__ = ["Counter", "MaxTracker", "Accumulator", "StatRegistry", "RunStats"]
+__all__ = ["Counter", "MaxTracker", "Accumulator", "StatRegistry", "RunStats",
+           "message_counts", "inter_host_messages"]
 
 
 class Counter:
@@ -200,6 +201,27 @@ class StatRegistry:
             head, _, tail = name.partition(".")
             groups[head][tail or head] = value
         return dict(groups)
+
+
+def message_counts(items: Iterable[Tuple[str, float]],
+                   scope: str = "inter_host") -> Iterator[Tuple[str, float]]:
+    """``(message type, count)`` for each per-type message counter of
+    ``scope`` among ``items``, the ``(name, value)`` pairs of
+    :meth:`StatRegistry.as_dict`.
+
+    Skips ``msgs.inter_host.ctrl_count``: the network bumps it for every
+    control message on top of that message's own type counter.
+    """
+    prefix = f"msgs.{scope}."
+    for name, count in items:
+        if name.startswith(prefix) and name != "msgs.inter_host.ctrl_count":
+            yield name[len(prefix):], count
+
+
+def inter_host_messages(items: Iterable[Tuple[str, float]]) -> int:
+    """Inter-host messages sent, each counted once, among ``items``
+    (``(name, value)`` pairs as for :func:`message_counts`)."""
+    return int(sum(count for _, count in message_counts(items)))
 
 
 class RunStats:

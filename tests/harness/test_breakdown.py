@@ -3,13 +3,21 @@
 import pytest
 
 from repro import Machine, SystemConfig
+from repro.harness import Executor, RunSpec, read_run_log
 from repro.harness.breakdown import (
     CONTROL_TYPES,
     message_breakdown,
     protocol_comparison,
 )
 from repro.harness.experiments import default_config
+from repro.overheads.energy import estimate_energy
 from repro.workloads import APPLICATIONS, app, build_workload_programs
+
+
+def _seed0_cr_run(protocol):
+    config = default_config()
+    machine = Machine(config, protocol=protocol, seed=0)
+    return machine.run(build_workload_programs(APPLICATIONS["CR"], config))
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +61,37 @@ class TestMessageBreakdown:
     def test_scope_selection(self, cr_runs):
         intra = message_breakdown(cr_runs["cord"], scope="intra_host")
         assert isinstance(intra, list)
+
+
+class TestControlLabels:
+    def test_control_types_are_the_tables_control_messages(self):
+        assert CONTROL_TYPES == {
+            "wt_ack", "rel_ack", "req_notify", "notify", "load_req",
+            "seq_flush", "seq_flush_ack", "getm", "gets", "inv", "inv_ack",
+            "wb_ack", "fetch",
+        }
+
+    def test_wb_fetch_is_control(self):
+        rows = {r["type"]: r for r in message_breakdown(_seed0_cr_run("wb"))}
+        assert rows["fetch"]["messages"] == 640
+        assert rows["fetch"]["control"] is True
+
+
+class TestMessageTotals:
+    """Every inter-host message total counts a control message once."""
+
+    def test_totals_equal_the_breakdown_sum(self, tmp_path):
+        result = _seed0_cr_run("cord")
+        rows = message_breakdown(result)
+        assert sum(row["messages"] for row in rows) == 848
+        assert result.stat("msgs.inter_host.ctrl_count") > 0
+        assert estimate_energy(result).total_messages == 848
+
+        log = tmp_path / "runs.jsonl"
+        Executor(run_log=log).run(RunSpec(
+            kind="app", protocol="cord", workload=APPLICATIONS["CR"],
+            config=default_config(), seed=0))
+        assert read_run_log(log)[0]["inter_host_msgs"] == 848
 
 
 class TestProtocolComparison:

@@ -208,6 +208,46 @@ class TestScaleCli:
         assert "scale" in out and "--reps" in out
 
 
+class TestFlagPlacement:
+    """One parser: flags read alike before or after any command."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--no-cache", "--help"], ["scale", "--help"], ["modelcheck", "-h"],
+        ["fig9", "--help"],
+    ], ids=" ".join)
+    def test_help_anywhere_prints_usage(self, capsys, argv):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "Usage" in out and "--reps" in out
+
+    def test_modelcheck_after_executor_flags(self, capsys):
+        assert main(["--no-cache", "modelcheck", "quick"]) == 0
+        out = capsys.readouterr().out
+        assert "ALL PASSED" in out
+        assert "[executor] jobs=1 cache=off hits=0 misses=" in out
+
+    def test_scale_after_executor_flags(self, tmp_path, capsys):
+        from repro.harness import validate_run_table
+        out = tmp_path / "scale"
+        assert main(["--jobs", "2", "--no-cache", "scale", "--quick",
+                     "--reps", "1", "--out", str(out)]) == 0
+        assert "[executor] jobs=2 cache=off" in capsys.readouterr().out
+        assert validate_run_table(out / "run_table.csv") == 18
+
+    def test_second_modelcheck_suite_fails(self, capsys):
+        assert main(["modelcheck", "classic", "quick"]) == 2
+        out = capsys.readouterr().out
+        assert "'classic'" in out and "'quick'" in out
+        assert "modelcheck[" not in out  # nothing was checked
+
+    @pytest.mark.parametrize("flags", [
+        ["--faults", "drop"], ["--trace-out", "traces"],
+    ], ids=lambda flags: flags[0])
+    def test_modelcheck_rejects_timed_flags_anywhere(self, capsys, flags):
+        assert main([*flags, "modelcheck", "quick"]) == 2
+        assert f"unknown option {flags[0]!r}" in capsys.readouterr().out
+
+
 class TestExecutorFlags:
     def test_bad_jobs_value_fails(self, capsys):
         assert main(["--jobs", "zero", "fig9"]) == 2
