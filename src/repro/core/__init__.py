@@ -8,7 +8,6 @@ and directory side (Algorithm 2), shared by the timed protocol actors in
 from repro.core.directory import CordDirectoryState
 from repro.core.messages import (
     NotifyMeta,
-    ReleaseAckMeta,
     ReleaseMeta,
     RelaxedMeta,
     ReqNotifyMeta,
@@ -26,7 +25,6 @@ __all__ = [
     "ReleaseMeta",
     "ReqNotifyMeta",
     "NotifyMeta",
-    "ReleaseAckMeta",
     "SequenceSpace",
     "wrap",
     "unwrap",

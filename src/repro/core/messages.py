@@ -15,7 +15,6 @@ __all__ = [
     "ReleaseMeta",
     "ReqNotifyMeta",
     "NotifyMeta",
-    "ReleaseAckMeta",
 ]
 
 
@@ -65,14 +64,6 @@ class ReqNotifyMeta:
 @dataclass(frozen=True)
 class NotifyMeta:
     """Notification from a pending directory to the destination directory."""
-
-    proc: int
-    epoch: int
-
-
-@dataclass(frozen=True)
-class ReleaseAckMeta:
-    """Acknowledgment of a committed Release store (epoch reclamation)."""
 
     proc: int
     epoch: int

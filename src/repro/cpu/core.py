@@ -99,17 +99,15 @@ class Core:
             self.machine.history.set_register(self.core_id, register, value)
 
     def _poll(self, index: int, op: MemOp) -> Generator:
-        """Spin on a location until the polled condition holds.
+        """Spin on a location until it holds at least the target value.
 
-        By default the poll succeeds when the loaded value is >= the target
-        (flags are monotonic counters — a fast producer may have advanced the
-        flag past the awaited value before the consumer's first poll).  Set
-        ``op.meta["cmp"] = "eq"`` for exact matching (litmus tests).
+        Flags are monotonic counters: a fast producer may have advanced the
+        flag past the awaited value before the consumer's first poll.  The
+        model checker polls with the same ``>=`` condition.
         """
-        exact = op.meta.get("cmp") == "eq"
         while True:
             value = yield from self.port.load(op, index)
-            if value == op.value or (not exact and value >= op.value):
+            if value >= op.value:
                 break
             yield self.POLL_INTERVAL_NS
         self._record_load(index, op, value)

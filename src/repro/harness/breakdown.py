@@ -22,14 +22,20 @@ from repro.workloads.table2 import APPLICATIONS
 __all__ = ["message_breakdown", "protocol_comparison",
            "stall_attribution_rows", "CONTROL_TYPES"]
 
+#: Every message a protocol table declares.  Every ``seq<k>`` table
+#: declares the same messages.
+_MESSAGES = [message
+             for protocol in (*named_protocols(), "seq1")
+             for message in get_spec(protocol).messages.values()]
+
 #: Wire names of the messages a protocol table declares control (no
-#: store payload).  Every ``seq<k>`` table declares the same messages.
+#: store payload).
 CONTROL_TYPES = frozenset(
-    message.wire_name
-    for protocol in (*named_protocols(), "seq1")
-    for message in get_spec(protocol).messages.values()
-    if message.control
-)
+    message.wire_name for message in _MESSAGES if message.control)
+
+#: Wire names of the messages that carry CORD's §4.4 barrier Releases.
+_BARRIER_CARRIERS = frozenset(
+    message.wire_name for message in _MESSAGES if message.barrier_carrier)
 
 
 def message_breakdown(
@@ -39,7 +45,20 @@ def message_breakdown(
 
     ``result`` is a live :class:`~repro.protocols.machine.RunResult` or an
     executor :class:`~repro.harness.executor.RunRecord`; both give the
-    same rows for the same run."""
+    same rows for the same run.
+
+    A row's ``control`` flag is its type's table class, with one
+    exception in the inter-host scope: a §4.4 barrier Release rides its
+    data carrier (CORD's ``wt_rel``) as a control message, so the
+    barriers get a control row of their own on the carrier type, taken
+    out of its data row.  Their share is what the network's control
+    counters (``msgs.inter_host.ctrl_count``, ``traffic.inter_host.ctrl``)
+    hold beyond the control types' rows, so the control rows sum to those
+    counters and the data rows to ``traffic.inter_host.data``.  The
+    intra-host scope has no control count: its rows are labelled by type
+    alone, and a barrier between a core and a directory of one host
+    counts as data there.
+    """
     rows: List[Dict[str, Any]] = []
     for msg_type, count in message_counts(result.stat_items(), scope):
         total_bytes = result.stat(f"bytes.{scope}.{msg_type}")
@@ -49,6 +68,21 @@ def message_breakdown(
             "bytes": int(total_bytes),
             "control": msg_type in CONTROL_TYPES,
         })
+    if scope == "inter_host":
+        control = [row for row in rows if row["control"]]
+        barriers = int(result.stat("msgs.inter_host.ctrl_count")) - sum(
+            row["messages"] for row in control)
+        if barriers:
+            barrier_bytes = int(result.stat("traffic.inter_host.ctrl")) - sum(
+                row["bytes"] for row in control)
+            carrier = next(row for row in rows
+                           if row["type"] in _BARRIER_CARRIERS)
+            carrier["messages"] -= barriers
+            carrier["bytes"] -= barrier_bytes
+            if not carrier["messages"]:
+                rows.remove(carrier)
+            rows.append(dict(carrier, messages=barriers,
+                             bytes=barrier_bytes, control=True))
     rows.sort(key=lambda r: -r["bytes"])
     total = sum(r["bytes"] for r in rows) or 1
     for row in rows:

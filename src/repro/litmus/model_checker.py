@@ -80,15 +80,13 @@ from repro.litmus.dsl import LitmusTest
 from repro.litmus.symmetry import Automorphism, find_automorphisms
 from repro.litmus.visited import make_visited
 from repro.memory.address import AddressMap
-from repro.protocols.factory import validate_checkable_protocol
 from repro.protocols.spec import (
     DeliveryContext,
     DeliveryRule,
-    ample_kinds,
+    FifoClass,
     cord_barrier_batch_reason,
-    fifo_class_for,
-    forwarding_kinds,
     get_spec,
+    validate_checkable_protocol,
 )
 from repro.sim.stats import StatRegistry
 
@@ -603,23 +601,6 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 # The checker
 # ---------------------------------------------------------------------------
-
-#: Message kinds whose delivery commutes with every other enabled or
-#: future action (see :meth:`ModelChecker._reduce` and DESIGN.md §4):
-#: always deliverable, never disabling, touching state no other action
-#: reads conflictingly.  Eligible as singleton ample sets.  Derived from
-#: the protocol tables (``MessageSpec.ample``) — a new message type must
-#: declare its POR class, it cannot silently land here.
-_AMPLE_KINDS = ample_kinds()
-
-#: In-flight store carriers a core's own later load must observe
-#: (read-own-write forwarding, :meth:`ModelChecker._read_for_core`).
-#: Disjoint from :data:`_AMPLE_KINDS`, so forwarding never reads state an
-#: ample delivery writes and the POR argument is untouched.  Derived from
-#: the tables (``MessageSpec.forwards_store``).
-_FWD_STORE_KINDS = forwarding_kinds()
-
-
 class _CheckerContext(DeliveryContext):
     """Backs a table :class:`~repro.protocols.spec.DeliveryRule` with
     ``_State`` mutations.
@@ -679,13 +660,13 @@ class _CheckerContext(DeliveryContext):
         self._checker._send(
             self._state, message, dict(fields),
             dst_core=self._msg.fields["core"],
-            fifo_class=self._checker._fifo(message, None),
+            fifo_class=self._checker._reply_fifo[message],
         )
 
     def send_dir(self, message: str, dst_dir: int, fields: Any) -> None:
         self._checker._send(
             self._state, message, dict(fields), dst_dir=dst_dir,
-            fifo_class=self._checker._fifo(message, None),
+            fifo_class=self._checker._reply_fifo[message],
         )
 
     def ack_release(self, meta: Any) -> None:
@@ -693,7 +674,7 @@ class _CheckerContext(DeliveryContext):
             self._state, "rel_ack",
             {"dir": self._msg.dst_dir, "epoch": meta.epoch},
             dst_core=meta.proc,
-            fifo_class=self._checker._fifo("rel_ack", None),
+            fifo_class=self._checker._reply_fifo["rel_ack"],
         )
 
     def seq_committed(self, proc: int) -> int:
@@ -861,7 +842,31 @@ class ModelChecker:
             rules = [table.get(kind) for table in tables]
             if len(set(rules) - {None}) > 1:
                 self._delivery_rules[kind] = _by_issuer(rules)
-        self._fifo_classes: Dict[Tuple[str, Optional[str]], Any] = {}
+        # Every ordering fact comes from the same tables, built the same
+        # way.  An issued message takes its FIFO class from its core's
+        # table; a reply (ack, notification, RMW response) takes its class
+        # from the tables in play, unless they disagree on it.
+        self._messages = [{**so_spec.messages, **spec.messages}
+                          for spec in self._specs]
+        in_play = [message for table in self._messages
+                   for message in table.values()]
+        fifos: Dict[str, Set[FifoClass]] = {}
+        for message in in_play:
+            fifos.setdefault(message.name, set()).add(message.fifo)
+        self._reply_fifo = {kind: classes.pop().key()
+                            for kind, classes in fifos.items()
+                            if len(classes) == 1}
+        #: Kinds whose delivery commutes with every other enabled or
+        #: future action (``MessageSpec.ample``): singleton ample sets,
+        #: see :meth:`_reduce`.
+        self._ample = frozenset(
+            message.name for message in in_play if message.ample)
+        #: In-flight store carriers a core's own later load observes
+        #: (``MessageSpec.forwards_store``, :meth:`_read_for_core`).
+        #: Disjoint from ``_ample``, so forwarding never reads state
+        #: an ample delivery writes and the POR argument is untouched.
+        self._forwarding = frozenset(
+            message.name for message in in_play if message.forwards_store)
         self._autos: List[Automorphism] = (
             find_automorphisms(self) if symmetry else []
         )
@@ -905,8 +910,9 @@ class ModelChecker:
         release-consistent machine exhibits.  Atomics never need it: the
         issuing core blocks until the RMW response.
         """
+        forwarding = self._forwarding
         for msg in reversed(state.network):
-            if (msg.kind in _FWD_STORE_KINDS
+            if (msg.kind in forwarding
                     and msg.fields.get("core") == core_index
                     and msg.fields.get("addr") == addr):
                 return msg.fields["value"]
@@ -937,7 +943,7 @@ class ModelChecker:
         """Partial-order reduction: collapse commuting deliveries.
 
         If some enabled action delivers a message whose kind is in
-        :data:`_AMPLE_KINDS`, explore *only* that delivery (a singleton
+        ``_ample``, explore *only* that delivery (a singleton
         persistent/ample set).  Soundness (DESIGN.md §4 has the full
         argument): such a delivery (1) is always enabled and stays
         enabled (``fifo_class is None`` and ``_delivery_enabled`` is
@@ -954,10 +960,11 @@ class ModelChecker:
         """
         if len(actions) <= 1:
             return actions
+        ample = self._ample
         for action in actions:
             if action[0] != "deliver":
                 continue
-            if state.network[action[1]].kind in _AMPLE_KINDS:
+            if state.network[action[1]].kind in ample:
                 return [action]
         return actions
 
@@ -977,9 +984,8 @@ class ModelChecker:
         if op.kind is OpKind.LOAD:
             return True
         if op.kind is OpKind.LOAD_UNTIL:
-            value = self._read_for_core(state, core_index, op.addr)
-            exact = op.meta.get("cmp") == "eq"
-            return value == op.value or (not exact and value >= op.value)
+            return (self._read_for_core(state, core_index, op.addr)
+                    >= op.value)
         spec = self._issue_specs[core_index][core.pc]
         if op.kind is OpKind.FENCE:
             if not op.ordering.is_release:
@@ -1007,7 +1013,7 @@ class ModelChecker:
     def _stores_drained(self, state: _State, core_index: int) -> bool:
         """True when the core has no store still in flight (SC gating).
 
-        A store is in flight while its carrier (a :data:`_FWD_STORE_KINDS`
+        A store is in flight while its carrier (a ``_forwarding``
         message from this core) is on the network, or while the core's
         completion counters still wait for its ack or commit.  MP stores
         have no completion signal, so only the network test sees them;
@@ -1023,8 +1029,9 @@ class ModelChecker:
             return False
         if core.cord is not None and core.cord.total_unacked() > 0:
             return False
+        forwarding = self._forwarding
         return not any(
-            msg.kind in _FWD_STORE_KINDS
+            msg.kind in forwarding
             and msg.fields.get("core") == core_index
             for msg in state.network
         )
@@ -1062,23 +1069,6 @@ class ModelChecker:
             fields=fields, fifo_class=fifo_class,
         ))
         state.next_seq += 1
-
-    def _fifo(
-        self,
-        kind: str,
-        proto: Optional[str],
-        core: Optional[int] = None,
-        addr: Optional[int] = None,
-        dst_dir: Optional[int] = None,
-    ) -> Optional[Tuple[Any, ...]]:
-        """``_Msg.fifo_class`` for one send, derived from the tables
-        (``MessageSpec.fifo``) — never hand-assigned per call site.
-        ``proto`` is the issuing protocol (``None`` for replies)."""
-        fifo = self._fifo_classes.get((kind, proto))
-        if fifo is None:
-            fifo = self._fifo_classes[(kind, proto)] = \
-                fifo_class_for(kind, proto)
-        return fifo.key(core=core, addr=addr, dst_dir=dst_dir)
 
     def _step_core(self, state: _State, core_index: int) -> None:
         core = state.mutable_core(core_index)
@@ -1156,7 +1146,7 @@ class ModelChecker:
         message sequence numbers, so it is semantic.
         """
         core = state.mutable_core(core_index)
-        proto = self.core_protocols[core_index]
+        messages = self._messages[core_index]
         emits = rule.effects(core, home, rule.ordered, barrier=barrier)
         for emit in emits:
             fields = dict(emit.fields)
@@ -1171,15 +1161,14 @@ class ModelChecker:
                 fields["core"] = core_index
             dst = emit.dst_dir if emit.dst_dir is not None else home
             self._send(state, emit.message, fields, dst_dir=dst,
-                       fifo_class=self._fifo(emit.message, proto,
-                                             core=core_index, addr=addr,
-                                             dst_dir=dst))
+                       fifo_class=messages[emit.message].fifo.key(
+                           core=core_index, addr=addr, dst_dir=dst))
 
     def _table_step_atomic(self, state: _State, core_index: int, spec: Any,
                            op: MemOp, home: int, ordered: bool) -> None:
         """Issue an RMW via the table; the core blocks until the response."""
         core = state.mutable_core(core_index)
-        proto = self.core_protocols[core_index]
+        messages = self._messages[core_index]
         rule = spec.issue_rule("atomic", ordered)
         if rule.escape == "barrier" and rule.guard(core, home) is not None:
             # §4.4 escape: barrier Release; the RMW retries afterwards.
@@ -1199,15 +1188,13 @@ class ModelChecker:
                 fields = dict(base)
                 fields.update(emit.fields)
                 self._send(state, emit.message, fields, dst_dir=home,
-                           fifo_class=self._fifo(emit.message, proto,
-                                                 core=core_index,
-                                                 addr=op.addr, dst_dir=home))
+                           fifo_class=messages[emit.message].fifo.key(
+                               core=core_index, addr=op.addr, dst_dir=home))
             else:
                 self._send(state, emit.message, dict(emit.fields),
                            dst_dir=emit.dst_dir,
-                           fifo_class=self._fifo(emit.message, proto,
-                                                 core=core_index,
-                                                 dst_dir=emit.dst_dir))
+                           fifo_class=messages[emit.message].fifo.key(
+                               core=core_index, dst_dir=emit.dst_dir))
         core.blocked = True
 
     def _perform_atomic(self, state: _State, msg: _Msg) -> None:
@@ -1224,7 +1211,8 @@ class ModelChecker:
         ))
         self._send(state, "atomic_resp", {
             "old": old, "register": fields.get("register"),
-        }, dst_core=fields["core"])
+        }, dst_core=fields["core"],
+            fifo_class=self._reply_fifo["atomic_resp"])
 
     def _deliver(self, state: _State, msg: _Msg) -> None:
         # The same DeliveryRule the timed interpreter dispatches, run

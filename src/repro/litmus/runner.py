@@ -78,9 +78,6 @@ def run_timed(
     compiled = test.compile(config)
     programs: Dict[int, Program] = {}
     for thread, ops in enumerate(compiled):
-        for op in ops:
-            if op.kind.value == "load_until":
-                op.meta.setdefault("cmp", "eq")
         core_id = thread * config.cores_per_host
         programs[core_id] = Program(ops=ops, name=f"{test.name}.P{thread}")
 

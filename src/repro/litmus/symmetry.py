@@ -24,9 +24,9 @@ force ``τ`` to the identity:
 
 * atomics — ``faa`` computes ``old + operand``, so a non-identity ``τ``
   would have to commute with addition;
-* non-exact polls — ``LOAD_UNTIL`` without ``cmp == "eq"`` fires on
-  ``value >= op.value``, so ``τ`` would have to preserve order (and an
-  order-preserving bijection of a finite value set is the identity anyway).
+* polls — ``LOAD_UNTIL`` fires on ``value >= op.value``, so ``τ`` would
+  have to preserve order (and an order-preserving bijection of a finite
+  value set is the identity anyway).
 
 Per-core register renamings are likewise derived structurally, which is
 what lets classically-symmetric shapes (SB, LB, 2+2W, IRIW, the FAA
@@ -114,7 +114,6 @@ def _match_programs(
                 or a.duration_ns != b.duration_ns):
             return None
         if (a.meta.get("via") != b.meta.get("via")
-                or a.meta.get("cmp") != b.meta.get("cmp")
                 or a.meta.get("atomic") != b.meta.get("atomic")):
             return None
         if a.kind in _ADDRESSED:
@@ -189,11 +188,8 @@ def find_automorphisms(checker) -> List["Automorphism"]:
     home_of = {loc: checker._home(addr_of[loc]) for loc in locs}
 
     has_atomic = any(op.kind is OpKind.ATOMIC for p in programs for op in p)
-    has_ge_poll = any(
-        op.kind is OpKind.LOAD_UNTIL and op.meta.get("cmp") != "eq"
-        for p in programs for op in p
-    )
-    force_value_identity = has_atomic or has_ge_poll
+    has_poll = any(op.kind is OpKind.LOAD_UNTIL for p in programs for op in p)
+    force_value_identity = has_atomic or has_poll
 
     autos: List[Automorphism] = []
     for sigma in permutations(range(threads)):

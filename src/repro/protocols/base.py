@@ -183,15 +183,12 @@ class CorePort(abc.ABC):
         self._response.trigger(message.payload.get("value", 0))
 
     # ------------------------------------------------------------------
-    # Shared atomic path: read-modify-write at the home LLC slice.
+    # Atomics: read-modify-write at the home LLC slice.
     # ------------------------------------------------------------------
+    @abc.abstractmethod
     def atomic(self, op: MemOp, program_index: int) -> Generator:
-        """Default atomic: request/response round trip to the home
-        directory, which performs the RMW at the commit point.  Protocols
-        with ordering obligations override this to add them."""
-        yield from self.wc_flush()   # RMWs never bypass buffered stores
-        old = yield from self._atomic_round_trip(op, program_index)
-        return old
+        """Execute a read-modify-write per the protocol's ordering rules;
+        yields, returns the old value."""
 
     def _atomic_round_trip(self, op: MemOp, program_index: int) -> Generator:
         req_id = self._pending_req = self._next_req
@@ -325,12 +322,6 @@ class DirectoryNode:
             value=new,
         )
         return old
-
-    def on_atomic_req(self, message: Message) -> None:
-        """Default atomic handler: RMW immediately, respond with the old
-        value (protocols with ordering conditions override)."""
-        old = self.perform_atomic(message)
-        self.respond_atomic(message, old)
 
     def respond_atomic(self, message: Message, old: int) -> None:
         # ``load_resp``: the RMW rides the shared response path.

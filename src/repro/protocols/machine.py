@@ -29,7 +29,7 @@ from repro.interconnect.message import NodeId
 from repro.interconnect.network import Network
 from repro.memory.address import AddressMap
 from repro.memory.llc import LlcSlice
-from repro.protocols.factory import protocol_classes
+from repro.protocols.table import protocol_classes
 from repro.sim import Simulator, StatRegistry
 from repro.sim.stats import RunStats
 
@@ -105,7 +105,9 @@ class Machine:
         The system geometry and interconnect (:class:`SystemConfig`).
     protocol:
         One of the registered protocol names (see
-        :func:`repro.protocols.factory.available_protocols`).
+        :func:`repro.protocols.spec.available_protocols`), resolved to
+        its actor classes by
+        :func:`repro.protocols.table.protocol_classes`.
     consistency:
         ``"rc"`` (release consistency, default), ``"tso"`` (§6 mode), or
         ``"sc"`` (sequential consistency: TSO's store-store ordering plus

@@ -50,10 +50,17 @@ Ordering classes
 ----------------
 :class:`FifoClass` materializes the checker's three FIFO schemes
 (per-location, per-pair, unordered) as a declared property of each
-message type; :func:`fifo_key_for` derives the concrete ``fifo_class``
-tuple the checker attaches to an in-flight message.  A new message type
-therefore cannot silently land in the wrong class — the PR 5 annotation
-bug shape, eliminated structurally.
+message type; :meth:`FifoClass.key` derives the concrete ``fifo_class``
+tuple the checker attaches to an in-flight message, from the table of
+the core that sent it.  A new message type therefore cannot silently
+land in the wrong class.
+
+Registry
+--------
+``_NAMED_SPECS`` plus the ``seq<k>`` family is the one list of protocols:
+:func:`available_protocols`, :func:`checkable_protocols` and
+:func:`validate_checkable_protocol` are computed from it and from the one
+declaration of the timed-only tables beside it.
 """
 
 from __future__ import annotations
@@ -75,13 +82,12 @@ __all__ = [
     "DeliveryContext",
     "ProtocolSpec",
     "get_spec",
-    "spec_protocols",
     "named_protocols",
+    "available_protocols",
+    "checkable_protocols",
+    "validate_checkable_protocol",
     "parse_seq_bits",
     "has_spec",
-    "fifo_key_for",
-    "ample_kinds",
-    "forwarding_kinds",
     "cord_barrier_batch_reason",
     "lint_spec",
     "LintError",
@@ -133,9 +139,9 @@ class MessageSpec:
     :class:`~repro.config.CordConfig` to the metadata bit-width charged
     on the wire (the traffic model); ``None`` charges no metadata.
     ``ample``/``forwards_store`` feed the checker's derived POR and
-    read-own-write sets; ``timed_only`` marks messages with no checker
-    counterpart (the checker models SEQ flushes as issue-side blocking,
-    and loads read directory state directly).
+    read-own-write sets.  Some messages exist on the timed wire only (the
+    checker models SEQ flushes as issue-side blocking, and its loads read
+    directory state directly); the checker never sends them.
     """
 
     name: str
@@ -146,7 +152,6 @@ class MessageSpec:
     bits: Optional[Callable[[Any], int]] = None
     ample: bool = False
     forwards_store: bool = False
-    timed_only: bool = False
     #: This message is the carrier of barrier (address-less) Releases.
     #: Exactly one message per barrier-broadcasting spec declares it; the
     #: timed interpreter derives its control-sized barrier wire class from
@@ -366,10 +371,9 @@ class ProtocolSpec:
     progress_on: Tuple[str, ...] = ()
     #: SEQ-k wire width; None for non-SEQ protocols.
     seq_bits: Optional[int] = None
-    #: Messages-only spec: ordering metadata for the checker, no
-    #: interpreted rules.
+    #: Messages-only spec: wire metadata, no interpreted rules.
     rules_complete: bool = True
-    #: For messages-only specs the factory still resolves: a
+    #: For messages-only specs ``protocol_classes`` still resolves: a
     #: zero-argument callable returning the
     #: ``(CorePortClass, DirectoryClass)`` actor pair.  WB's MESI state
     #: machine is request/response-shaped rather than guard/action-shaped,
@@ -855,10 +859,10 @@ _LOAD_MESSAGES = {
     # read-own-write forwarding); loads exist only on the timed wire.
     "load_req": MessageSpec(
         name="load_req", fifo=FifoClass.NONE, control=True,
-        consumer="directory", timed_only=True),
+        consumer="directory"),
     "load_resp": MessageSpec(
         name="load_resp", fifo=FifoClass.NONE, control=False,
-        consumer="core", timed_only=True),
+        consumer="core"),
 }
 
 _SHARED_DELIVERY = {
@@ -1048,16 +1052,15 @@ def _wb_actors() -> Tuple[Any, Any]:
 
 #: WB's MESI writeback machine is request/response-shaped (GetS/GetM,
 #: invalidation fan-out, data responses) rather than guard/action-shaped,
-#: so the spec declares the wire vocabulary plus the actor pair; the
-#: factory routes ``wb`` through :func:`ProtocolSpec.actors`.  Kept out of
-#: ``_registry_specs()``: the checker does not model WB, and its wire
-#: names would otherwise shadow other tables in declaration-order lookup.
+#: so the spec declares the wire vocabulary plus the actor pair;
+#: :func:`repro.protocols.table.protocol_classes` routes ``wb`` through
+#: :func:`ProtocolSpec.actors`.  Timed-only: the checker does not model WB.
 WB_SPEC = ProtocolSpec(
     name="wb",
     core_state="so",
     messages={
         name: MessageSpec(name=name, fifo=FifoClass.NONE, control=control,
-                          consumer=consumer, timed_only=True)
+                          consumer=consumer)
         for name, control, consumer in (
             ("gets", True, "directory"),
             ("getm", True, "directory"),
@@ -1109,10 +1112,10 @@ def _make_seq_spec(bits: int) -> ProtocolSpec:
                 forwards_store=True),
             "seq_flush": MessageSpec(
                 name="seq_flush", fifo=FifoClass.NONE, control=True,
-                consumer="directory", bits=seq_bits_fn, timed_only=True),
+                consumer="directory", bits=seq_bits_fn),
             "seq_flush_ack": MessageSpec(
                 name="seq_flush_ack", fifo=FifoClass.NONE, control=True,
-                consumer="core", bits=_seq_flush_tag_bits, timed_only=True),
+                consumer="core", bits=_seq_flush_tag_bits),
             **_ATOMIC_MESSAGES,
             # A sequenced (Release) RMW carries its sequence number on
             # the wire, as seq_store does; a relaxed one carries none.
@@ -1200,7 +1203,7 @@ TARDIS_SPEC = ProtocolSpec(
         "load_req": _LOAD_MESSAGES["load_req"],
         "load_resp": MessageSpec(
             name="load_resp", fifo=FifoClass.NONE, control=False,
-            consumer="core", bits=_tardis_lease_bits, timed_only=True),
+            consumer="core", bits=_tardis_lease_bits),
     },
     issue={
         ("store", True): IssueRule(
@@ -1242,6 +1245,8 @@ TARDIS_SPEC = ProtocolSpec(
 #: tables are built on first use and cached in ``_SPECS`` beside them.
 _NAMED_SPECS = (SO_SPEC, CORD_SPEC, CORD_NONOTIFY_SPEC, MP_SPEC, WB_SPEC,
                 TARDIS_SPEC)
+#: The fixed-name tables the model checker has no untimed model for.
+_TIMED_ONLY = (CORD_NONOTIFY_SPEC, WB_SPEC)
 _SPECS: Dict[str, ProtocolSpec] = {spec.name: spec for spec in _NAMED_SPECS}
 
 #: ``seq<k>`` with ``k`` in decimal and no leading zeros.
@@ -1251,6 +1256,33 @@ _SEQ_NAME = re.compile(r"seq(0|[1-9][0-9]*)")
 def named_protocols() -> Tuple[str, ...]:
     """Every protocol name with a fixed table (all but ``seq<k>``)."""
     return tuple(spec.name for spec in _NAMED_SPECS)
+
+
+def available_protocols() -> Tuple[str, ...]:
+    """Every protocol a :class:`~repro.protocols.machine.Machine` runs."""
+    return named_protocols() + ("seq<k>",)
+
+
+def checkable_protocols() -> Tuple[str, ...]:
+    """The protocols the model checker has an untimed model for."""
+    return tuple(spec.name for spec in _NAMED_SPECS
+                 if spec not in _TIMED_ONLY) + ("seq<k>",)
+
+
+def validate_checkable_protocol(name: str) -> None:
+    """Raise :class:`ValueError`, naming the choices, unless the model
+    checker can check ``name`` (an out-of-range ``seq<k>`` width raises
+    :func:`parse_seq_bits`'s error)."""
+    if name in (spec.name for spec in _TIMED_ONLY):
+        detail = "is timed-only"
+    elif name in _SPECS or parse_seq_bits(name) is not None:
+        return
+    else:
+        detail = "is unknown"
+    raise ValueError(
+        f"protocol {name!r} {detail} for model checking; "
+        f"choose from {checkable_protocols()}"
+    )
 
 
 def parse_seq_bits(protocol: str) -> Optional[int]:
@@ -1283,74 +1315,13 @@ def get_spec(protocol: str) -> ProtocolSpec:
     return spec
 
 
-def has_spec(protocol: str, rules: bool = True) -> bool:
-    """Whether ``protocol`` has a table (optionally: with full rules)."""
+def has_spec(protocol: str) -> bool:
+    """Whether ``protocol`` has a table with full rules (``wb``'s table
+    declares only its messages)."""
     try:
-        spec = get_spec(protocol)
+        return get_spec(protocol).rules_complete
     except KeyError:
         return False
-    return spec.rules_complete or not rules
-
-
-def spec_protocols() -> Tuple[str, ...]:
-    """Protocols with fully rule-complete tables."""
-    return ("so", "cord", "cord-nonotify", "mp", "seq<k>", "tardis")
-
-
-# ---------------------------------------------------------------------------
-# Derived checker metadata (satellite: no hand-maintained FIFO/POR sets)
-# ---------------------------------------------------------------------------
-def _registry_specs() -> List[ProtocolSpec]:
-    return [SO_SPEC, CORD_SPEC, MP_SPEC, get_spec("seq8"), TARDIS_SPEC]
-
-
-def fifo_class_for(kind: str,
-                   protocol: Optional[str] = None) -> FifoClass:
-    """The ordering class of message ``kind``, from the tables.
-
-    ``protocol`` is the *issuing* protocol and matters: ``atomic`` rides
-    MP's per-pair posted channel but per-location coherence everywhere
-    else.  SEQ-k variants share one ordering table regardless of ``k``.
-    Pass ``None`` only for reply/forward kinds that exist in a single
-    table (mixed-mode ``via: so`` carriers, directory replies) — the
-    registry is searched in declaration order.
-    """
-    if protocol is not None:
-        message = get_spec(protocol).messages.get(kind)
-        if message is not None:
-            return message.fifo
-    for other in _registry_specs():
-        message = other.messages.get(kind)
-        if message is not None:
-            return message.fifo
-    raise KeyError(f"no table declares message kind {kind!r}")
-
-
-def fifo_key_for(kind: str, protocol: Optional[str] = None,
-                 core: Optional[int] = None,
-                 addr: Optional[int] = None,
-                 dst_dir: Optional[int] = None) -> Optional[Tuple[Any, ...]]:
-    """The ``_Msg.fifo_class`` for one send, derived from the tables."""
-    return fifo_class_for(kind, protocol).key(core=core, addr=addr,
-                                              dst_dir=dst_dir)
-
-
-def ample_kinds() -> frozenset:
-    """Message kinds safe as singleton ample sets (POR), from the tables."""
-    kinds = set()
-    for spec in _registry_specs():
-        kinds.update(m.name for m in spec.messages.values() if m.ample)
-    return frozenset(kinds)
-
-
-def forwarding_kinds() -> frozenset:
-    """In-flight store carriers visible to the issuing core's own later
-    loads (read-own-write forwarding), from the tables."""
-    kinds = set()
-    for spec in _registry_specs():
-        kinds.update(
-            m.name for m in spec.messages.values() if m.forwards_store)
-    return frozenset(kinds)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ and the closure path, which runs a row through its guard/effect
 callables.  Each family subclass owns its protocol state, its wake
 signal, its escape mechanism and its fast paths.
 
-:func:`make_table_protocol` is the one place that maps
+:func:`protocol_classes` resolves a protocol name to its (core port,
+directory) pair.  :func:`make_table_protocol` is the one place that maps
 ``spec.core_state`` to a family, and it binds each row once per spec,
 into class attributes: its escape to the family's mechanism, and its
 compiled opcode to the family's inline fast path, or to the closure path
@@ -65,13 +66,16 @@ from repro.protocols.spec import (
     DeliveryContext,
     Emit,
     ProtocolSpec,
+    available_protocols,
     get_spec,
+    named_protocols,
+    parse_seq_bits,
 )
 
 __all__ = ["TableCorePort", "TableDirectory", "SoCorePort", "SoDirectory",
            "CordCorePort", "CordDirectory", "SeqCorePort", "SeqDirectory",
            "TardisCorePort", "TardisDirectory", "make_table_protocol",
-           "table_protocol_classes"]
+           "protocol_classes"]
 
 #: One issue row bound to its family: (row, gate, sender), both plain
 #: functions taking the port first.  ``gate(port, row, dir_index,
@@ -1243,8 +1247,15 @@ def make_table_protocol(
     return port_cls, dir_cls
 
 
-def table_protocol_classes(
-    name: str,
-) -> Tuple[Type[TableCorePort], Type[TableDirectory]]:
-    """Resolve a protocol name to its table-driven actor classes."""
+def protocol_classes(name: str) -> Tuple[Type[CorePort], Type[DirectoryNode]]:
+    """Resolve a protocol name to its (core port, directory) classes.
+
+    Raises :class:`ValueError` for an unknown name (naming the valid
+    choices) or an out-of-range ``seq<k>`` width, before any actor is
+    built.
+    """
+    if name not in named_protocols() and parse_seq_bits(name) is None:
+        raise ValueError(
+            f"unknown protocol {name!r}; choose from {available_protocols()}"
+        )
     return make_table_protocol(get_spec(name))

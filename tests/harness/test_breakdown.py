@@ -77,6 +77,34 @@ class TestControlLabels:
         assert rows["fetch"]["control"] is True
 
 
+class TestBarrierRows:
+    """Inter-host rows agree with the network's control and data
+    counters: CORD's §4.4 barrier Releases ride the data carrier
+    ``wt_rel`` as control messages and get a control row of their own."""
+
+    @pytest.mark.parametrize("protocol", ["so", "cord", "cord-nonotify",
+                                          "mp", "wb", "seq8", "tardis"])
+    def test_rows_sum_to_the_traffic_counters(self, protocol):
+        result = _seed0_cr_run(protocol)
+        rows = message_breakdown(result)
+        control = [row for row in rows if row["control"]]
+        data = [row for row in rows if not row["control"]]
+        assert sum(row["messages"] for row in control) == result.stat(
+            "msgs.inter_host.ctrl_count")
+        assert (sum(row["bytes"] for row in control)
+                == result.inter_host_control_bytes)
+        assert (sum(row["bytes"] for row in data)
+                == result.inter_host_data_bytes)
+        split = [row["type"] for row in control
+                 if row["type"] not in CONTROL_TYPES]
+        if protocol.startswith("cord"):
+            assert split == ["wt_rel"]
+        else:
+            # One row per type, labelled by its table.
+            assert split == []
+            assert len({row["type"] for row in rows}) == len(rows)
+
+
 class TestMessageTotals:
     """Every inter-host message total counts a control message once."""
 

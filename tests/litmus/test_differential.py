@@ -19,12 +19,20 @@ timed network is FIFO per (source node, destination node) pair).
 import pytest
 
 from repro.config import SystemConfig
-from repro.litmus.dsl import LitmusTest, ld, st, st_rel
+from repro.litmus.dsl import LitmusTest, ld, poll_acq, st, st_rel
 from repro.litmus.model_checker import ModelChecker
 from repro.litmus.runner import run_timed
 from repro.sim import DeterministicRng
 
 PROTOCOLS = ("cord", "so", "mp", "seq2", "seq8", "tardis")
+
+#: The producer overshoots the value its consumer polls for.  Both engines
+#: poll for ``>=``, so the consumer reads 2 instead of spinning forever.
+POLL_PAST_ITS_VALUE = LitmusTest(
+    name="poll-past-its-value",
+    locations={"F": 0},
+    programs=[[st_rel("F", 2)], [poll_acq("F", 1, "r0")]],
+)
 
 
 def random_litmus(
@@ -124,6 +132,14 @@ class TestTimedVsChecker:
     def test_two_thread_outcomes_are_subset(self, protocol):
         for seed in range(4):
             assert_timed_subset_of_checker(random_litmus(seed), protocol)
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_poll_holds_once_its_value_is_passed(self, protocol):
+        check = ModelChecker(POLL_PAST_ITS_VALUE, protocol=protocol,
+                             config=_config_for(POLL_PAST_ITS_VALUE)).run()
+        assert check.deadlocks == 0
+        assert check.outcomes == [{"P1:r0": 2, "mem:F": 2}]
+        assert_timed_subset_of_checker(POLL_PAST_ITS_VALUE, protocol)
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_three_thread_outcomes_are_subset(self, protocol):

@@ -55,7 +55,6 @@ from repro.protocols.compile import (
     G_TRUE,
     compile_spec,
 )
-from repro.protocols.factory import protocol_classes
 from repro.protocols.spec import LintError, get_spec, lint_spec
 from repro.protocols.table import (
     CordCorePort,
@@ -67,6 +66,7 @@ from repro.protocols.table import (
     TardisCorePort,
     TardisDirectory,
     make_table_protocol,
+    protocol_classes,
 )
 from repro.workloads.micro import MicroSpec
 from repro.workloads.table2 import APPLICATIONS

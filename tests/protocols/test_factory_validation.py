@@ -10,12 +10,12 @@ import pytest
 from repro import Machine, SystemConfig
 from repro.litmus.dsl import LitmusTest, ld, st
 from repro.litmus.model_checker import ModelChecker
-from repro.protocols.factory import (
+from repro.protocols.spec import (
     available_protocols,
     checkable_protocols,
-    protocol_classes,
     validate_checkable_protocol,
 )
+from repro.protocols.table import protocol_classes
 
 SMOKE = LitmusTest(
     name="smoke",
@@ -53,8 +53,8 @@ class TestFactoryValidation:
             ModelChecker(SMOKE, "mesi")
 
     def test_checkable_set(self):
-        assert checkable_protocols() == ("so", "cord", "mp", "seq<k>",
-                                         "tardis")
+        assert checkable_protocols() == ("so", "cord", "mp", "tardis",
+                                         "seq<k>")
         for name in ("so", "cord", "mp", "seq2", "seq40", "tardis"):
             validate_checkable_protocol(name)  # must not raise
 

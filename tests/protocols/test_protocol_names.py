@@ -1,25 +1,24 @@
 """Protocol names: one parser for ``seq<k>``, one registry for the rest.
 
-Every lookup (``get_spec``/``has_spec``, the factory, the model checker's
-validation) must agree on which names exist, and a rejected name must not
-leave a table behind in the registry.
+Every lookup (``get_spec``/``has_spec``, ``protocol_classes``, the model
+checker's validation) must agree on which names exist, and a rejected
+name must not leave a table behind in the registry.
 """
 
 import pytest
 
 from repro.protocols import spec
-from repro.protocols.factory import (
+from repro.protocols.spec import (
     available_protocols,
-    protocol_classes,
     validate_checkable_protocol,
 )
+from repro.protocols.table import protocol_classes
 
 
 class TestSeqNames:
     @pytest.mark.parametrize("name", ["seq0", "seq65", "seq007"])
     def test_rejected_everywhere_and_never_cached(self, name):
         assert not spec.has_spec(name)
-        assert not spec.has_spec(name, rules=False)
         with pytest.raises(KeyError):
             spec.get_spec(name)
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from repro.harness.executor import _execute_spec
 from repro.harness.experiments import default_config
 from repro.protocols.seq import SeqCommitBoard
 from repro.protocols.spec import get_spec
-from repro.protocols.table import SeqCorePort, table_protocol_classes
+from repro.protocols.table import SeqCorePort, protocol_classes
 from repro.sim import Simulator
 from repro.workloads.table2 import APPLICATIONS
 from tests.protocols.conftest import producer_consumer
@@ -147,7 +147,7 @@ class TestCommitBoard:
 
 class TestFactory:
     def test_make_seq_protocol_sets_bits(self):
-        port_cls, _ = table_protocol_classes("seq12")
+        port_cls, _ = protocol_classes("seq12")
         assert port_cls.SPEC.seq_bits == 12
 
     def test_invalid_bits_rejected(self):

@@ -10,18 +10,27 @@ import dataclasses
 
 import pytest
 
+from repro.litmus.dsl import LitmusTest, st
+from repro.litmus.model_checker import ModelChecker
 from repro.protocols.spec import (
     FifoClass,
-    ample_kinds,
-    fifo_class_for,
-    forwarding_kinds,
     get_spec,
+    has_spec,
     lint_spec,
-    spec_protocols,
+    named_protocols,
 )
 
 ALL_TABLES = ("so", "cord", "cord-nonotify", "mp", "seq2", "seq8", "seq40",
               "tardis")
+
+
+def _checker(*protocols):
+    """A checker over one store per thread, thread ``i`` on
+    ``protocols[i]``."""
+    test = LitmusTest(name="tables", locations={"x": 0},
+                      programs=[[st("x", 1)] for _ in protocols],
+                      thread_protocols=list(protocols))
+    return ModelChecker(test, protocols[0])
 
 
 class TestLinter:
@@ -30,8 +39,10 @@ class TestLinter:
         assert lint_spec(get_spec(name)) == []
 
     def test_rule_complete_set_matches_factory_default(self):
-        assert spec_protocols() == ("so", "cord", "cord-nonotify", "mp",
-                                    "seq<k>", "tardis")
+        # wb's table declares its messages and actor pair, no rules.
+        assert [name for name in named_protocols() if has_spec(name)] == [
+            "so", "cord", "cord-nonotify", "mp", "tardis"]
+        assert has_spec("seq8") and not has_spec("wb")
 
     def test_source_drain_off_the_release_row_is_flagged(self):
         # The timed interpreter reads source_drain from the CORD
@@ -57,7 +68,8 @@ class TestLinter:
 
 
 class TestDerivedCheckerMetadata:
-    """The checker's FIFO/POR sets come from the tables, not hand lists."""
+    """The checker's FIFO/POR sets come from the tables of the cores it
+    checks, not from hand lists or a search over every table."""
 
     def test_store_fifo_is_per_location(self):
         for name in ("so", "cord", "seq8"):
@@ -68,20 +80,51 @@ class TestDerivedCheckerMetadata:
                         f"{name}:{mspec.name}")
 
     def test_mp_posted_and_atomics_are_per_pair(self):
-        assert fifo_class_for("posted", "mp") is FifoClass.PER_PAIR
-        assert fifo_class_for("atomic", "mp") is FifoClass.PER_PAIR
+        for messages in (get_spec("mp").messages,
+                         _checker("mp")._messages[0]):
+            assert messages["posted"].fifo is FifoClass.PER_PAIR
+            assert messages["atomic"].fifo is FifoClass.PER_PAIR
 
     def test_atomics_elsewhere_ride_the_store_channel(self):
-        assert fifo_class_for("atomic", "so") is FifoClass.PER_LOCATION
-        assert fifo_class_for("atomic", "cord") is FifoClass.PER_LOCATION
+        # An issued message takes its class from its own core's table,
+        # whatever the other cores run.
+        checker = _checker("so", "cord", "mp")
+        for core, name in enumerate(("so", "cord")):
+            assert (get_spec(name).messages["atomic"].fifo
+                    is FifoClass.PER_LOCATION)
+            assert (checker._messages[core]["atomic"].fifo
+                    is FifoClass.PER_LOCATION)
+        assert checker._messages[2]["atomic"].fifo is FifoClass.PER_PAIR
+        # A reply kind the tables in play disagree on has no class.
+        assert "atomic" not in checker._reply_fifo
+        assert checker._reply_fifo["atomic_resp"] is None
 
     def test_unknown_kind_raises(self):
-        with pytest.raises(KeyError):
-            fifo_class_for("no_such_message")
+        # No table of an SO-only test declares CORD's notify or MP's
+        # posted, so the checker has no class for them.
+        checker = _checker("so")
+        for kind in ("no_such_message", "notify", "posted"):
+            with pytest.raises(KeyError):
+                checker._messages[0][kind]
+            with pytest.raises(KeyError):
+                checker._reply_fifo[kind]
 
     def test_ample_and_forwarding_sets(self):
-        assert ample_kinds() == frozenset(
+        acks = {"so_ack", "atomic_resp"}
+        expected = {
+            "so": (acks, {"wt_store"}),
+            "cord": (acks | {"notify"}, {"wt_store", "wt_rlx", "wt_rel"}),
+            "mp": (acks, {"wt_store", "posted"}),
+            "seq8": (acks, {"wt_store", "seq_store"}),
+            "tardis": (acks, {"wt_store", "tardis_store"}),
+        }
+        for name, (ample, forwarding) in expected.items():
+            checker = _checker(name)
+            assert checker._ample == ample, name
+            assert checker._forwarding == forwarding, name
+        mixed = _checker(*expected)
+        assert mixed._ample == frozenset(
             {"so_ack", "notify", "atomic_resp"})
-        assert forwarding_kinds() == frozenset(
+        assert mixed._forwarding == frozenset(
             {"wt_rlx", "wt_rel", "wt_store", "seq_store", "posted",
              "tardis_store"})
