@@ -31,7 +31,7 @@ class Core:
     def __init__(self, machine: "Machine", core_id: int, program: Program) -> None:
         self.machine = machine
         self.core_id = core_id
-        self.program = program
+        self.program: Optional[Program] = program
         self.node_id = NodeId.core(core_id, machine.config.host_of_core(core_id))
         self.registers: Dict[str, Optional[int]] = {}
         self.port: Optional["CorePort"] = None  # set by the machine
@@ -93,6 +93,10 @@ class Core:
                 # sample-keeping accumulator so runs export percentiles.
                 name, t0 = op.meta["sample_ns"]
                 stats.accumulator(name, keep_samples=True).add(sim.now - t0)
+        # Every op has retired: let the program go, so a finished machine
+        # (a reference cycle, freed only by the cyclic collector) does
+        # not keep a whole op stream alive until that collection runs.
+        self.program = None
         yield from self.port.finish()
         self.finish_time_ns = self.machine.sim.now
         for register, value in self.registers.items():
@@ -115,8 +119,8 @@ class Core:
     def _atomic(self, index: int, op: MemOp) -> Generator:
         """Execute a read-modify-write; optionally spin until it succeeds.
 
-        ``op.meta["retry_until_old"] = v`` retries the RMW until the old
-        value equals ``v`` — the classic spinlock acquire
+        An op built with ``meta={..., "retry_until_old": v}`` retries the
+        RMW until the old value equals ``v`` — the classic spinlock acquire
         (``exchange(lock, 1)`` until the old value is 0).
         """
         retry_target = op.meta.get("retry_until_old")

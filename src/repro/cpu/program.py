@@ -9,9 +9,9 @@ and the workload generators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
-from repro.consistency.ops import MemOp, Ordering, Policy
+from repro.consistency.ops import AtomicOp, MemOp, OpKind, Ordering, Policy
 
 __all__ = ["Program", "ProgramBuilder"]
 
@@ -42,6 +42,9 @@ class ProgramBuilder:
     ...     .store(0x100, value=1)
     ...     .release_store(0x200, value=1)
     ...     .build())
+
+    :meth:`store_run` and :meth:`load_run` append a whole run of accesses
+    with one ``list.extend``.
     """
 
     def __init__(self, name: str = "") -> None:
@@ -66,6 +69,25 @@ class ProgramBuilder:
         self._ops.append(MemOp.release_store(addr, value, size, policy))
         return self
 
+    def store_run(
+        self, addrs: Iterable[int], values: Iterable[int], size: int,
+        ordering: Ordering = Ordering.RELAXED, issue_ns: float = 0.0,
+    ) -> "ProgramBuilder":
+        """Write-through stores of ``size`` bytes, the i-th writing the
+        i-th of ``values`` to the i-th of ``addrs``.  With ``issue_ns`` > 0
+        each store follows a ``compute(issue_ns)`` (the core-side gap
+        between stores)."""
+        kind, policy = OpKind.STORE, Policy.WRITE_THROUGH
+        run = [MemOp(kind, addr, size, ordering, policy, value)
+               for addr, value in zip(addrs, values)]
+        if issue_ns > 0:
+            paced: List[MemOp] = run * 2
+            paced[0::2] = [MemOp.compute(issue_ns) for _ in run]
+            paced[1::2] = run
+            run = paced
+        self._ops.extend(run)
+        return self
+
     def load(
         self,
         addr: int,
@@ -74,6 +96,16 @@ class ProgramBuilder:
         ordering: Ordering = Ordering.RELAXED,
     ) -> "ProgramBuilder":
         self._ops.append(MemOp.load(addr, register, size, ordering))
+        return self
+
+    def load_run(self, addrs: Iterable[int], register: str
+                 ) -> "ProgramBuilder":
+        """Relaxed 8-byte loads from ``addrs`` in order, each into
+        ``register``."""
+        kind, ordering = OpKind.LOAD, Ordering.RELAXED
+        policy = Policy.WRITE_THROUGH
+        self._ops.extend([MemOp(kind, addr, 8, ordering, policy, None,
+                                register) for addr in addrs])
         return self
 
     def acquire_load(self, addr: int, register: str, size: int = 8) -> "ProgramBuilder":
@@ -103,16 +135,19 @@ class ProgramBuilder:
     def compare_swap(
         self, addr: int, compare: int, operand: int,
         register: Optional[str] = None,
+        ordering: Ordering = Ordering.ACQ_REL,
     ) -> "ProgramBuilder":
-        self._ops.append(MemOp.compare_swap(addr, compare, operand, register))
+        self._ops.append(MemOp.compare_swap(addr, compare, operand, register,
+                                            ordering))
         return self
 
     def lock(self, addr: int) -> "ProgramBuilder":
         """Spinlock acquire: exchange(addr, 1) with Acquire ordering,
         retried until the old value is 0."""
-        op = MemOp.exchange(addr, 1, ordering=Ordering.ACQUIRE)
-        op.meta["retry_until_old"] = 0
-        self._ops.append(op)
+        self._ops.append(MemOp(
+            OpKind.ATOMIC, addr, ordering=Ordering.ACQUIRE, value=1,
+            meta={"atomic": AtomicOp.EXCHANGE, "compare": None,
+                  "retry_until_old": 0}))
         return self
 
     def unlock(self, addr: int) -> "ProgramBuilder":

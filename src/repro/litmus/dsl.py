@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import SystemConfig
-from repro.consistency.ops import AtomicOp, MemOp, Ordering
+from repro.consistency.ops import AtomicOp, MemOp, OpKind, Ordering
 from repro.memory.address import AddressMap
 
 __all__ = [
@@ -145,41 +145,36 @@ class LitmusTest:
                 f"test {self.name!r} needs {hosts_needed} hosts, config has "
                 f"{config.hosts}"
             )
+        addresses = {loc: self.resolve_address(config, loc)
+                     for loc in self.locations}
         compiled: List[List[MemOp]] = []
         for program in self.programs:
             ops: List[MemOp] = []
             for abstract in program:
                 kind = abstract[0]
-                if kind in ("st", "st_so"):
+                if kind == "st":
                     _, loc, value, size, ordering = abstract
-                    op = MemOp.store(
-                        self.resolve_address(config, loc), value, size, ordering
-                    )
-                    if kind == "st_so":
-                        op.meta["via"] = "so"
-                    ops.append(op)
+                    ops.append(MemOp.store(addresses[loc], value, size,
+                                           ordering))
+                elif kind == "st_so":
+                    _, loc, value, size, ordering = abstract
+                    ops.append(MemOp(OpKind.STORE, addresses[loc], size,
+                                     ordering, value=value,
+                                     meta={"via": "so"}))
                 elif kind == "ld":
                     _, loc, register, ordering = abstract
-                    ops.append(MemOp.load(
-                        self.resolve_address(config, loc), register,
-                        ordering=ordering,
-                    ))
+                    ops.append(MemOp.load(addresses[loc], register,
+                                          ordering=ordering))
                 elif kind == "poll":
                     _, loc, value, register, ordering = abstract
-                    op = MemOp.load_until(
-                        self.resolve_address(config, loc), value, register,
-                        ordering=ordering,
-                    )
-                    ops.append(op)
+                    ops.append(MemOp.load_until(addresses[loc], value,
+                                                register, ordering=ordering))
                 elif kind == "atomic":
                     _, flavour, loc, operand, compare, register, ordering = \
                         abstract
                     ops.append(MemOp.atomic(
-                        AtomicOp(flavour),
-                        self.resolve_address(config, loc),
-                        operand,
-                        register=register,
-                        compare=compare,
+                        AtomicOp(flavour), addresses[loc], operand,
+                        register=register, compare=compare,
                         ordering=ordering,
                     ))
                 elif kind == "fence":

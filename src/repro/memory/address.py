@@ -8,6 +8,8 @@ deterministic function of the address.
 
 from __future__ import annotations
 
+from typing import Dict
+
 from repro.config import SystemConfig
 from repro.interconnect.message import NodeId
 
@@ -21,9 +23,12 @@ class AddressMap:
         self.config = config
         self.line_bytes = config.llc_slice.line_bytes
         self.host_region_bytes = config.memory.size_bytes
-        # addr -> NodeId.  Workloads touch a bounded working set but resolve
-        # the home directory on every store issue; memoizing avoids a NodeId
-        # allocation per message on the hot path.
+        #: Global slice index -> its one node id, shared by every address
+        #: the slice homes; filled on first use.
+        self._directories: Dict[int, NodeId] = {}
+        # addr -> its slice's NodeId.  Workloads touch a bounded working set
+        # but resolve the home directory on every store issue; memoizing
+        # keeps the arithmetic off the hot path.
         self._home_cache: dict = {}
 
     def line_address(self, addr: int) -> int:
@@ -47,7 +52,11 @@ class AddressMap:
         if node is None:
             host = self.host_of(addr)
             global_slice = host * self.config.slices_per_host + self.slice_of(addr)
-            node = self._home_cache[addr] = NodeId.directory(global_slice, host)
+            node = self._directories.get(global_slice)
+            if node is None:
+                node = self._directories[global_slice] = NodeId.directory(
+                    global_slice, host)
+            self._home_cache[addr] = node
         return node
 
     def address_in_host(self, host: int, offset: int) -> int:
@@ -55,6 +64,15 @@ class AddressMap:
         if offset >= self.host_region_bytes:
             raise ValueError(f"offset {offset:#x} outside host region")
         return host * self.host_region_bytes + offset
+
+    def run_in_host(self, host: int, offset: int, count: int,
+                    stride: int) -> range:
+        """Addresses of ``count`` accesses ``stride`` bytes apart, the first
+        at byte ``offset`` into ``host``'s region.  One region check covers
+        the whole run: its last access starts furthest in."""
+        self.address_in_host(host, offset + max(count - 1, 0) * stride)
+        start = self.address_in_host(host, offset)
+        return range(start, start + count * stride, stride)
 
     def lines_spanned(self, addr: int, size: int) -> int:
         """Number of cache lines a [addr, addr+size) access touches."""

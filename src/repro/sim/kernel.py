@@ -147,9 +147,11 @@ class Signal:
         waiters = self._waiters
         if waiters:
             self._waiters = []
-            if value is not None:
-                waiters = [(resume, (value,)) for resume, _ in waiters]
-            self.sim.schedule_entries(0.0, waiters)
+            if value is None:
+                self.sim.schedule_entries(0.0, waiters)
+            else:
+                for resume, _ in waiters:
+                    self.sim.schedule(0.0, resume, value)
 
     @property
     def waiter_count(self) -> int:

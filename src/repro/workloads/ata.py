@@ -11,9 +11,11 @@ Fig. 12 use to bound storage.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict
 
 from repro.config import SystemConfig
+from repro.consistency.ops import Ordering
 from repro.cpu.program import Program, ProgramBuilder
 from repro.memory.address import AddressMap
 
@@ -38,23 +40,17 @@ def build_ata_programs(spec: AtaSpec, config: SystemConfig) -> Dict[int, Program
     for host in range(config.hosts):
         builder = ProgramBuilder(f"ata@h{host}")
         peers = [p for p in range(config.hosts) if p != host]
+        slot = _SLOT_BASE + host * 0x1000
+        data = [address_map.address_in_host(peer, slot) for peer in peers]
+        flags = [address_map.address_in_host(peer, slot + 0x100)
+                 for peer in peers]
+        size = spec.payload_bytes
         for round_index in range(spec.rounds):
+            value = round_index + 1
             # alltoall: deliver every peer's payload first ...
-            for peer in peers:
-                data = address_map.address_in_host(
-                    peer, _SLOT_BASE + host * 0x1000
-                )
-                builder.store(
-                    data, value=round_index + 1, size=spec.payload_bytes
-                )
+            builder.store_run(data, repeat(value), size)
             # ... then synchronize with each peer.
-            for peer in peers:
-                flag = address_map.address_in_host(
-                    peer, _SLOT_BASE + host * 0x1000 + 0x100
-                )
-                builder.release_store(
-                    flag, value=round_index + 1, size=spec.payload_bytes
-                )
+            builder.store_run(flags, repeat(value), size, Ordering.RELEASE)
         builder.fence()
         programs[host * config.cores_per_host] = builder.build()
     return programs

@@ -132,78 +132,66 @@ def build_workload_programs(
         )
 
     per_target = spec.stores_per_release
+    granularity = spec.relaxed_granularity
+    line = config.llc_slice.line_bytes
     programs: Dict[int, Program] = {}
 
     for host in range(hosts):
         targets = _targets(host, hosts, spec.fanout)
         sources = _sources(host, hosts, spec.fanout)
+        # Per target: the staggered start of this producer's buffer, and
+        # the flag and ack addresses, none of which change per iteration.
+        starts = [_DATA_BASE + host * _DATA_STRIDE + _stagger(config, host, t)
+                  for t in targets]
+        flags = [_flag_addr(address_map, target, host) for target in targets]
+        acks = [_ack_addr(address_map, host, target) for target in targets]
 
         producer = ProgramBuilder(f"{spec.name}.producer@h{host}")
         for iteration in range(spec.iterations):
             if spec.producer_compute_ns > 0:
                 producer.compute(spec.producer_compute_ns)
-            offset = _buffer_offset(
-                spec, iteration, per_target * spec.relaxed_granularity
-            )
+            offset = _buffer_offset(spec, iteration, per_target * granularity)
+            values = range(iteration * per_target + 1,
+                           (iteration + 1) * per_target + 1)
             # Stream the payload as one burst per target (the way an MPI
             # port copies each destination's buffer in turn).
-            for target in targets:
-                for store_index in range(per_target):
-                    addr = address_map.address_in_host(
-                        target,
-                        _DATA_BASE + host * _DATA_STRIDE + offset
-                        + _stagger(config, host, target)
-                        + store_index * spec.relaxed_granularity,
-                    )
-                    producer.store(
-                        addr,
-                        value=iteration * per_target + store_index + 1,
-                        size=spec.relaxed_granularity,
-                    )
-            for target in targets:
-                producer.release_store(
-                    _flag_addr(address_map, target, host), value=iteration + 1
-                )
+            for target, start in zip(targets, starts):
+                producer.store_run(
+                    address_map.run_in_host(target, start + offset,
+                                            per_target, granularity),
+                    values, granularity)
+            for flag in flags:
+                producer.release_store(flag, value=iteration + 1)
             if spec.lockstep:
                 # Pipelined synchronization: wait for the ack of iteration
                 # (k - window + 1); window == 1 is strict lock-step.
                 ack_target = iteration + 2 - spec.window
                 if ack_target >= 1:
-                    for target in targets:
-                        producer.load_until(
-                            _ack_addr(address_map, host, target), ack_target
-                        )
+                    for ack in acks:
+                        producer.load_until(ack, ack_target)
         producer.fence()  # final drain so completion includes commitment
         programs[producer_core(config, host)] = producer.build()
 
         consumer = ProgramBuilder(f"{spec.name}.consumer@h{host}")
-        lines_delivered = math.ceil(
-            per_target * spec.relaxed_granularity / config.llc_slice.line_bytes
-        )
+        lines_delivered = math.ceil(per_target * granularity / line)
         lines_read = max(1, int(lines_delivered * spec.read_fraction))
+        starts = [_DATA_BASE + source * _DATA_STRIDE
+                  + _stagger(config, source, host) for source in sources]
+        flags = [_flag_addr(address_map, host, source) for source in sources]
+        acks = [_ack_addr(address_map, source, host) for source in sources]
         for iteration in range(spec.iterations):
-            offset = _buffer_offset(
-                spec, iteration, per_target * spec.relaxed_granularity
-            )
-            for source in sources:
-                consumer.load_until(
-                    _flag_addr(address_map, host, source), iteration + 1
-                )
-                for line_index in range(lines_read):
-                    addr = address_map.address_in_host(
-                        host,
-                        _DATA_BASE + source * _DATA_STRIDE + offset
-                        + _stagger(config, source, host)
-                        + line_index * config.llc_slice.line_bytes,
-                    )
-                    consumer.load(addr, register="_scratch", size=8)
+            offset = _buffer_offset(spec, iteration, per_target * granularity)
+            for flag, start in zip(flags, starts):
+                consumer.load_until(flag, iteration + 1)
+                consumer.load_run(
+                    address_map.run_in_host(host, start + offset, lines_read,
+                                            line),
+                    "_scratch")
             if spec.consumer_compute_ns > 0:
                 consumer.compute(spec.consumer_compute_ns)
             if spec.lockstep:
-                for source in sources:
-                    consumer.release_store(
-                        _ack_addr(address_map, source, host), value=iteration + 1
-                    )
+                for ack in acks:
+                    consumer.release_store(ack, value=iteration + 1)
         consumer.fence()
         consumer_id = consumer_core(config, host)
         if consumer_id == producer_core(config, host):

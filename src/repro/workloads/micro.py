@@ -59,27 +59,25 @@ def build_micro_programs(
         f"micro.g{spec.store_granularity}.s{spec.sync_granularity}"
         f".f{spec.fanout}"
     )
+    granularity = spec.store_granularity
+    stores = spec.stores_per_release
+    # The Release flag lives at the *last* target (the Fig. 5 pattern:
+    # m Relaxed stores to the first n-1 directories, one Release to the
+    # n-th).
+    flag = address_map.address_in_host(targets[-1], _FLAG_BASE)
     value = 1
     for release_index in range(spec.releases):
         offset = release_index * spec.sync_granularity
         # The Fig. 5 pattern: m Relaxed stores *in total*, spread round-robin
         # across the first n-1 directories.
-        for store_index in range(spec.stores_per_release):
-            target = targets[store_index % len(targets)]
-            addr = address_map.address_in_host(
-                target,
-                _DATA_BASE + offset + store_index * spec.store_granularity,
-            )
-            if spec.store_issue_ns > 0:
-                builder.compute(spec.store_issue_ns)
-            builder.store(addr, value=value, size=spec.store_granularity)
-            value += 1
-        # The Release flag lives at the *last* target (the Fig. 5 pattern:
-        # m Relaxed stores to the first n-1 directories, one Release to the
-        # n-th).
-        builder.release_store(
-            address_map.address_in_host(targets[-1], _FLAG_BASE),
-            value=release_index + 1,
-        )
+        runs = [address_map.run_in_host(target, _DATA_BASE + offset, stores,
+                                        granularity)
+                for target in targets]
+        addrs = (runs[0] if len(runs) == 1
+                 else [runs[i % len(runs)][i] for i in range(stores)])
+        builder.store_run(addrs, range(value, value + stores), granularity,
+                          issue_ns=spec.store_issue_ns)
+        value += stores
+        builder.release_store(flag, value=release_index + 1)
     builder.fence()  # drain: completion includes global visibility
     return {0: builder.build()}

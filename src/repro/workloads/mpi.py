@@ -84,11 +84,6 @@ class MpiWorld:
             dst, _CHANNEL_FLAG_BASE + src * 0x100
         )
 
-    def _buffer(self, dst: int, src: int, offset: int) -> int:
-        return self.address_map.address_in_host(
-            dst, _CHANNEL_DATA_BASE + src * _CHANNEL_DATA_STRIDE + offset
-        )
-
     def _barrier_counter(self, index: int) -> int:
         return self.address_map.address_in_host(0, _BARRIER_BASE + index * 0x100)
 
@@ -108,15 +103,19 @@ class MpiWorld:
             raise ValueError("send to self")
         builder = self._builders[src]
         count = self._sent.get((src, dst), 0)
-        stores = max(1, math.ceil(nbytes / self.granularity))
+        granularity = self.granularity
+        stores = max(1, math.ceil(nbytes / granularity))
         window = (count % 4) * _CHANNEL_DATA_STRIDE // 8  # rotate buffers
-        for index in range(stores):
-            remaining = nbytes - index * self.granularity
-            builder.store(
-                self._buffer(dst, src, window + index * self.granularity),
-                value=count * stores + index + 1,
-                size=max(1, min(self.granularity, remaining)),
-            )
+        addrs = self.address_map.run_in_host(
+            dst, _CHANNEL_DATA_BASE + src * _CHANNEL_DATA_STRIDE + window,
+            stores, granularity)
+        first = count * stores + 1
+        # Every store but the last carries a full granule.
+        builder.store_run(addrs[:-1], range(first, first + stores - 1),
+                          granularity)
+        tail = nbytes - (stores - 1) * granularity
+        builder.store(addrs[-1], value=first + stores - 1,
+                      size=max(1, min(granularity, tail)))
         builder.release_store(self._flag(dst, src), value=count + 1)
         self._sent[(src, dst)] = count + 1
 

@@ -39,7 +39,7 @@ from typing import Dict, List, Tuple
 
 from repro.config import SystemConfig
 from repro.cpu.program import Program, ProgramBuilder
-from repro.consistency.ops import MemOp
+from repro.consistency.ops import NO_META, MemOp, OpKind, Ordering
 from repro.memory.address import AddressMap
 from repro.sim.rng import DeterministicRng
 from repro.workloads.base import consumer_core, producer_core
@@ -165,6 +165,11 @@ def build_openloop_programs(
         targets = _targets(host, hosts, spec.fanout)
         arrivals = arrival_schedule(spec, host)
         sent: Dict[int, int] = {target: 0 for target in targets}
+        flags = {target: address_map.address_in_host(
+                     target, _FLAG_BASE + host * 0x100)
+                 for target in targets}
+        stores = spec.stores_per_request
+        data_base = _DATA_BASE + host * _DATA_STRIDE
 
         producer = ProgramBuilder(f"openloop.producer@h{host}")
         for index, arrival in enumerate(arrivals):
@@ -172,32 +177,20 @@ def build_openloop_programs(
             sent[target] += 1
             sampled = index >= spec.warmup
 
-            wait = MemOp.compute(0.0)
-            wait.meta["until_ns"] = arrival
-            producer.op(wait)
-
+            producer.op(MemOp(OpKind.COMPUTE, meta={"until_ns": arrival}))
             offset = (index * spec.request_bytes) % max(
                 _DATA_STRIDE - spec.request_bytes, 1
             )
-            for store_index in range(spec.stores_per_request):
-                addr = address_map.address_in_host(
-                    target,
-                    _DATA_BASE + host * _DATA_STRIDE + offset
-                    + store_index * spec.store_granularity,
-                )
-                producer.store(addr, value=index * spec.stores_per_request
-                               + store_index + 1,
-                               size=spec.store_granularity)
-
-            flag = MemOp.release_store(
-                address_map.address_in_host(
-                    target, _FLAG_BASE + host * 0x100
-                ),
+            first = index * stores + 1
+            producer.store_run(
+                address_map.run_in_host(target, data_base + offset, stores,
+                                        spec.store_granularity),
+                range(first, first + stores), spec.store_granularity)
+            producer.op(MemOp(
+                OpKind.STORE, flags[target], ordering=Ordering.RELEASE,
                 value=sent[target],
-            )
-            if sampled:
-                flag.meta["sample_ns"] = (SOURCE_LATENCY_STAT, arrival)
-            producer.op(flag)
+                meta={"sample_ns": (SOURCE_LATENCY_STAT, arrival)}
+                if sampled else NO_META))
             inbound[target].append((arrival, host, sent[target], sampled))
         producer.fence()  # drain so completion includes global visibility
         programs[producer_core(config, host)] = producer.build()
@@ -207,16 +200,16 @@ def build_openloop_programs(
         # Poll in global scheduled-arrival order: flags are monotonic
         # counters and the poll is >=, so a request that landed while the
         # consumer was waiting elsewhere completes its poll instantly.
-        for arrival, source, flag_seq, sampled in sorted(inbound[host]):
-            poll = MemOp.load_until(
-                address_map.address_in_host(
-                    host, _FLAG_BASE + source * 0x100
-                ),
+        polls = sorted(inbound[host])
+        flags = {source: address_map.address_in_host(
+                     host, _FLAG_BASE + source * 0x100)
+                 for _, source, _, _ in polls}
+        for arrival, source, flag_seq, sampled in polls:
+            consumer.op(MemOp(
+                OpKind.LOAD_UNTIL, flags[source], ordering=Ordering.ACQUIRE,
                 value=flag_seq,
-            )
-            if sampled:
-                poll.meta["sample_ns"] = (DELIVERY_LATENCY_STAT, arrival)
-            consumer.op(poll)
+                meta={"sample_ns": (DELIVERY_LATENCY_STAT, arrival)}
+                if sampled else NO_META))
         consumer.fence()
         consumer_id = consumer_core(config, host)
         assert consumer_id != producer_core(config, host)

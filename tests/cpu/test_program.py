@@ -1,6 +1,8 @@
 """Tests for programs and the builder DSL."""
 
-from repro.consistency import OpKind, Ordering, Policy
+from itertools import repeat
+
+from repro.consistency import MemOp, OpKind, Ordering, Policy
 from repro.cpu import Program, ProgramBuilder
 
 
@@ -43,6 +45,42 @@ class TestBuilder:
         second = builder.build()
         assert len(first) == 1
         assert len(second) == 2
+
+
+class TestRuns:
+    """``store_run``/``load_run`` emit exactly the ops the one-at-a-time
+    fluent calls would."""
+
+    def test_store_run_matches_single_stores(self):
+        run = ProgramBuilder().store_run([0x100, 0x140, 0x180], range(4, 7),
+                                         64).build()
+        one = ProgramBuilder()
+        for addr, value in zip([0x100, 0x140, 0x180], range(4, 7)):
+            one.store(addr, value=value, size=64)
+        assert run.ops == one.build().ops
+
+    def test_store_run_with_issue_gaps(self):
+        run = ProgramBuilder().store_run(range(0, 192, 64), range(1, 4), 64,
+                                         issue_ns=25.0).build()
+        one = ProgramBuilder()
+        for index in range(3):
+            one.compute(25.0).store(index * 64, value=index + 1, size=64)
+        assert run.ops == one.build().ops
+        assert len({id(op) for op in run.ops}) == 6
+
+    def test_release_run_with_one_value(self):
+        run = ProgramBuilder().store_run([0x40, 0x80], repeat(9), 8,
+                                         Ordering.RELEASE).build()
+        assert run.ops == [MemOp.release_store(0x40, 9),
+                           MemOp.release_store(0x80, 9)]
+
+    def test_load_run_matches_single_loads(self):
+        run = ProgramBuilder().load_run([0x0, 0x40], "r").build()
+        assert run.ops == [MemOp.load(0x0, "r"), MemOp.load(0x40, "r")]
+
+    def test_empty_runs_add_nothing(self):
+        builder = ProgramBuilder().store_run([], range(1, 1), 8, issue_ns=5.0)
+        assert len(builder.load_run([], "r").build()) == 0
 
 
 class TestProgramStats:

@@ -66,3 +66,31 @@ class TestSliceInterleaving:
     def test_home_directory_deterministic(self, amap):
         addr = amap.address_in_host(5, 0x8000)
         assert amap.home_directory(addr) == amap.home_directory(addr)
+
+    def test_one_node_id_per_slice(self, amap):
+        """Every address a slice homes resolves to the same ``NodeId``
+        object, so a run keeps one per slice, not one per address."""
+        line = amap.line_bytes
+        slices = amap.config.slices_per_host
+        addrs = [amap.address_in_host(2, 64 + k * slices * line + k)
+                 for k in range(5)]
+        homes = [amap.home_directory(addr) for addr in addrs]
+        assert all(home is homes[0] for home in homes)
+        assert homes[0] == ("dir", 2 * 8 + 1, 2)
+        assert amap.home_directory(amap.address_in_host(2, 0)) is not homes[0]
+
+
+class TestRuns:
+    def test_run_addresses(self, amap):
+        run = amap.run_in_host(3, 0x1000, 4, 64)
+        assert list(run) == [amap.address_in_host(3, 0x1000 + i * 64)
+                             for i in range(4)]
+
+    def test_run_checks_its_last_access(self, amap):
+        end = amap.host_region_bytes
+        assert len(amap.run_in_host(0, end - 4 * 64, 4, 64)) == 4
+        with pytest.raises(ValueError):
+            amap.run_in_host(0, end - 4 * 64, 5, 64)
+
+    def test_empty_run(self, amap):
+        assert list(amap.run_in_host(1, 0x40, 0, 64)) == []

@@ -1,5 +1,7 @@
 """Tests for the Machine wiring and RunResult accessors."""
 
+import weakref
+
 import pytest
 
 from repro import Machine, ProgramBuilder, SystemConfig, available_protocols
@@ -37,6 +39,18 @@ class TestConstruction:
 
 
 class TestRunResult:
+    def test_finished_cores_release_their_programs(self, two_hosts):
+        """A finished machine is a reference cycle the collector frees
+        late; its cores must not keep their op streams alive until then."""
+        machine = Machine(two_hosts, protocol="cord")
+        programs, _, _ = producer_consumer(machine)
+        watched = [weakref.ref(program) for program in programs.values()]
+        result = machine.run(programs)
+        del programs
+        assert all(core.program is None for core in machine.cores.values())
+        assert [ref() for ref in watched] == [None] * len(watched)
+        assert result.time_ns > 0
+
     def test_time_is_max_core_finish(self, two_hosts):
         machine = Machine(two_hosts, protocol="cord")
         programs, _, _ = producer_consumer(machine)

@@ -239,6 +239,36 @@ class TestSignals:
         sim.run()
         assert sorted(woken) == [0, 1, 2]
 
+    @pytest.mark.parametrize("waiters", [1, 2])
+    def test_value_wake_is_one_event_per_waiter_in_fifo_position(
+            self, waiters):
+        """Waiters woken with a value (a port's response signal has one)
+        run in waiting order, behind the events already due at the trigger
+        time and ahead of those queued after the trigger, one event each."""
+        sim = Simulator()
+        signal = sim.signal("s")
+        log = []
+
+        def waiter(tag):
+            value = yield signal
+            log.append((tag, value, sim.now))
+
+        def fire():
+            signal.trigger(7)
+            sim.schedule(0.0, lambda: log.append(("after", None, sim.now)))
+
+        for tag in range(waiters):
+            sim.process(waiter(tag))
+        sim.schedule(2.0, fire)
+        sim.schedule(2.0, lambda: log.append(("due", None, sim.now)))
+        sim.run()
+        assert log == ([("due", None, 2.0)]
+                       + [(tag, 7, 2.0) for tag in range(waiters)]
+                       + [("after", None, 2.0)])
+        # each start, fire, due, each wake-up, after
+        assert sim.processed_events == 2 * waiters + 3
+        assert signal.waiter_count == 0
+
     def test_trigger_with_no_waiters_is_noop(self):
         sim = Simulator()
         signal = sim.signal("s")
