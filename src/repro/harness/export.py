@@ -1,18 +1,19 @@
 """Result export: write experiment rows to CSV (the artifact's ``plots/``).
 
 The paper's artifact post-processes raw results into per-figure CSV files
-before plotting; :func:`export_csv` and :func:`export_all` reproduce that
-workflow so downstream plotting scripts (matplotlib, gnuplot, spreadsheets)
-can consume this reproduction's output directly.
+before plotting; :func:`export_csv` writes rows in that form, so
+downstream plotting scripts (matplotlib, gnuplot, spreadsheets) can
+consume this reproduction's output directly.  ``scale`` writes its
+``run_table.csv`` through it.
 """
 
 from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, Optional, Sequence, Union
 
-__all__ = ["export_csv", "export_all", "DEFAULT_EXPERIMENTS"]
+__all__ = ["export_csv"]
 
 
 def export_csv(
@@ -35,40 +36,3 @@ def export_csv(
         for row in rows:
             writer.writerow(row)
     return path
-
-
-def _experiments() -> Dict[str, Callable[[], List[Dict[str, Any]]]]:
-    from repro.harness import experiments as ex
-    return {
-        "fig2_so_overheads": ex.fig2_source_ordering_overheads,
-        "fig7_end_to_end": ex.fig7_end_to_end,
-        "fig8_store": lambda: ex.fig8_sensitivity("store"),
-        "fig8_sync": lambda: ex.fig8_sensitivity("sync"),
-        "fig8_fanout": lambda: ex.fig8_sensitivity("fanout"),
-        "fig9_latency": ex.fig9_latency_sweep,
-        "fig10_bitwidth": ex.fig10_bitwidth,
-        "fig11_storage": ex.fig11_storage,
-        "fig12_breakdown": ex.fig12_storage_breakdown,
-        "fig13_tso": ex.fig13_tso,
-        "table3_area_power": ex.table3_area_power,
-    }
-
-
-DEFAULT_EXPERIMENTS = tuple(sorted(_experiments()))
-
-
-def export_all(
-    out_dir: Union[str, Path],
-    names: Optional[Sequence[str]] = None,
-) -> List[Path]:
-    """Run the named experiments (default: all) and write one CSV each."""
-    registry = _experiments()
-    unknown = set(names or []) - set(registry)
-    if unknown:
-        raise ValueError(f"unknown experiments: {sorted(unknown)}")
-    out_dir = Path(out_dir)
-    written: List[Path] = []
-    for name in names or DEFAULT_EXPERIMENTS:
-        rows = registry[name]()
-        written.append(export_csv(rows, out_dir / f"{name}.csv"))
-    return written

@@ -809,6 +809,11 @@ class ModelChecker:
         self.spill_threshold = spill_threshold
         self.address_map = AddressMap(self.config)
         self.programs = test.compile(self.config)
+        #: ``(loc, "mem:" + loc, address)`` per location, resolved once
+        #: for every terminal state's outcome.
+        self._final_locs = tuple(
+            (loc, "mem:" + loc, test.resolve_address(self.config, loc))
+            for loc in test.locations)
         self.core_protocols = list(
             test.thread_protocols or [protocol] * test.threads
         )
@@ -1435,12 +1440,8 @@ class ModelChecker:
         member's finals are the automorphic images of its representative's
         (DESIGN.md §4.11), each validated against its own permuted history
         so RC verdicts stay honest per outcome."""
-        memory = {
-            "mem:" + loc: self._read(
-                state, self.test.resolve_address(self.config, loc)
-            )
-            for loc in self.test.locations
-        }
+        memory = {key: self._read(state, addr)
+                  for _, key, addr in self._final_locs}
         outcome_key = _freeze(dict(
             {"P{}:{}".format(i, r): v
              for i, c in enumerate(state.cores)
@@ -1457,8 +1458,8 @@ class ModelChecker:
         for auto in self._autos:
             perm_memory = {
                 "mem:" + auto.locs.get(loc, loc):
-                    auto.values.get(memory["mem:" + loc], memory["mem:" + loc])
-                for loc in self.test.locations
+                    auto.values.get(memory[key], memory[key])
+                for loc, key, _ in self._final_locs
             }
             perm_key = _freeze(dict(
                 {"P{}:{}".format(auto.cores[i], auto.regs[i].get(r, r)):

@@ -30,6 +30,7 @@ draining regressions live in ``tests/protocols/test_seq_divergence.py``.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import (Any, Callable, Dict, Generator, List, Mapping, Optional,
                     Tuple, Type)
 
@@ -744,8 +745,10 @@ class TardisCorePort(TableCorePort):
         # rts >= this core's pts.
         self._tardis_lease: Dict[int, Tuple[Any, int]] = {}
         # addr -> (value, seq): own stores still in flight, for
-        # read-own-write forwarding (dropped once committed).
-        self._tardis_fwd: Dict[int, Tuple[Any, int]] = {}
+        # read-own-write forwarding, in seq order (a re-stored address
+        # moves to the end), so the committed entries are a prefix that
+        # each new store trims.
+        self._tardis_fwd: OrderedDict[int, Tuple[Any, int]] = OrderedDict()
         self._tardis_resp_ts: Optional[Tuple[int, int]] = None
         self._lease_hits = self.machine.stats.counter("tardis.lease_hits")
         self._lease_misses = self.machine.stats.counter(
@@ -755,15 +758,26 @@ class TardisCorePort(TableCorePort):
                            seq: int) -> None:
         """Issue-side Tardis bookkeeping: an own store supersedes any
         lease on its line(s) and enters the read-own-write forward map
-        until the directory commits it (the board count passes ``seq``)."""
+        until the directory commits it (the board count passes ``seq``).
+
+        A load never forwards a committed entry, and the board count
+        only grows, so the committed prefix is dropped here, oldest
+        first: each entry leaves at most once, O(1) amortized per store."""
         lease, fwd = self._tardis_lease, self._tardis_fwd
         if values:
             for a, v in values.items():
                 lease.pop(a, None)
                 fwd[a] = (v, seq)
+                fwd.move_to_end(a)
         else:
             lease.pop(addr, None)
             fwd[addr] = (value, seq)
+            fwd.move_to_end(addr)
+        # The store just posted cannot have committed yet (its delivery is
+        # a later event), so the loop stops at it at the latest.
+        committed = self.board.count(self._cid)
+        while fwd[next(iter(fwd))][1] < committed:
+            fwd.popitem(last=False)
 
     def _send_tardis_store(self, row: CompiledIssue, addr: int, size: int,
                            value, program_index: int, dir_index: int,

@@ -7,9 +7,7 @@ from repro.workloads.base import (
     consumer_core,
     producer_core,
 )
-from repro.workloads.doe import DOE_MPI_APPS, build_doe_programs
 from repro.workloads.micro import MicroSpec, build_micro_programs
-from repro.workloads.mpi import MpiWorld
 from repro.workloads.openloop import OpenLoopSpec, build_openloop_programs
 from repro.workloads.table2 import APPLICATIONS, CHAI, DOE, PANNOTIA, app, app_names
 
@@ -22,9 +20,6 @@ __all__ = [
     "build_micro_programs",
     "OpenLoopSpec",
     "build_openloop_programs",
-    "MpiWorld",
-    "DOE_MPI_APPS",
-    "build_doe_programs",
     "AtaSpec",
     "build_ata_programs",
     "APPLICATIONS",

@@ -2,9 +2,7 @@
 
 import csv
 
-import pytest
-
-from repro.harness.export import DEFAULT_EXPERIMENTS, export_all, export_csv
+from repro.harness.export import export_csv
 
 
 class TestExportCsv:
@@ -29,22 +27,3 @@ class TestExportCsv:
         path = export_csv([{"a": 1}], tmp_path / "deep" / "dir" / "out.csv")
         assert path.exists()
 
-
-class TestExportAll:
-    def test_registry_covers_every_figure(self):
-        names = set(DEFAULT_EXPERIMENTS)
-        for expected in ("fig2_so_overheads", "fig7_end_to_end",
-                         "fig10_bitwidth", "fig11_storage", "fig13_tso",
-                         "table3_area_power"):
-            assert expected in names
-
-    def test_unknown_experiment_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            export_all(tmp_path, names=["nope"])
-
-    def test_exports_selected_experiment(self, tmp_path):
-        written = export_all(tmp_path, names=["table3_area_power"])
-        assert len(written) == 1
-        content = written[0].read_text()
-        assert "area_mm2" in content
-        assert "store counter" in content

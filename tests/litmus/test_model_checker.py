@@ -218,6 +218,32 @@ class TestWeakOutcomesReachable:
         assert result.reaches({"P1:r1": 1, "P1:r2": 1})
 
 
+#: Store buffering across two hosts: swapping the threads and locations is
+#: an automorphism, so its outcomes go through the orbit loop too.
+SB = LitmusTest(
+    name="SB",
+    locations={"X": 0, "Y": 1},
+    programs=[
+        [st("X", 1), ld("Y", "r1")],
+        [st("Y", 1), ld("X", "r2")],
+    ],
+)
+
+
+class TestFinalStateAddresses:
+    @pytest.mark.parametrize("test", [ISA2, SB], ids=lambda t: t.name)
+    def test_run_resolves_no_address(self, test, monkeypatch):
+        """Every terminal state reads the location addresses resolved at
+        construction; a run never resolves one again."""
+        checker = ModelChecker(test, protocol="cord")
+        calls = []
+        monkeypatch.setattr(LitmusTest, "resolve_address",
+                            lambda *args: calls.append(args))
+        result = checker.run()
+        assert calls == []
+        assert result.passed and result.outcomes
+
+
 class TestAnnotations:
     def test_state_type_hints_resolve(self):
         # Every name the state record's annotations use is imported.

@@ -10,7 +10,10 @@ and release ordering still holds without a single ack message.
 import pytest
 
 from repro import Machine, ProgramBuilder
+from repro.config import CXL
+from repro.harness.experiments import default_config
 from repro.protocols.spec import TARDIS_LEASE
+from repro.workloads.micro import MicroSpec, build_micro_programs
 from tests.protocols.conftest import producer_consumer
 
 
@@ -117,6 +120,20 @@ class TestLeases:
                    .build())
         result = machine.run({0: program})
         assert result.history.register(0, "r0") == 9
+
+    def test_forward_map_drops_committed_stores(self):
+        """The read-own-write map keeps only stores still in flight: a
+        1 MB stream that never reads its own stores ends with at most one
+        release window (16 stores of 64 B per 1 KB sync) in the map."""
+        config = default_config(CXL, hosts=2, cores_per_host=1)
+        spec = MicroSpec(store_granularity=64, sync_granularity=1024,
+                         fanout=1, total_bytes=1024 * 1024)
+        machine = Machine(config, protocol="tardis")
+        machine.run(build_micro_programs(spec, config))
+        producer = machine.cores[0].port
+        # 16,384 data stores and 1,024 release flags, all committed.
+        assert producer.board.count(0) == 17 * 1024
+        assert len(producer._tardis_fwd) <= 16
 
 
 class TestWireCost:

@@ -8,11 +8,11 @@ fields (``meta`` as its sorted items), so a changed value, a changed type
 (``1`` vs ``1.0``) or a reordered op all move it.
 
 Covered: each Table-2 app at two iterations (perfbench's apps-closed
-point) and at its default length, the DOE mini-apps through the MPI port,
-perfbench's 1 MB micro, the §5.3 default micro and a fan-out micro without
-issue gaps, perfbench's open-loop spec at workload seeds 1 and 4242, the
-``scale --quick`` open-loop grid, a deterministic fan-out open-loop spec,
-one ATA spec, and the compiled programs of the litmus suites.
+point) and at its default length, perfbench's 1 MB micro, the §5.3
+default micro and a fan-out micro without issue gaps, perfbench's
+open-loop spec at workload seeds 1 and 4242, the ``scale --quick``
+open-loop grid, a deterministic fan-out open-loop spec, one ATA spec, and
+the compiled programs of the litmus suites.
 
 If a digest changes on purpose, print the new table with
 ``PYTHONPATH=src python tests/workloads/test_program_digests.py`` and
@@ -30,12 +30,10 @@ from repro.harness.experiments import default_config
 from repro.harness.scale import QUICK_LOADS, QUICK_SIZES
 from repro.litmus.suite import classic_tests, full_suite
 from repro.workloads import (
-    DOE_MPI_APPS,
     AtaSpec,
     MicroSpec,
     OpenLoopSpec,
     build_ata_programs,
-    build_doe_programs,
     build_micro_programs,
     build_openloop_programs,
     build_workload_programs,
@@ -97,9 +95,6 @@ def _cases() -> Dict[str, Callable[[], str]]:
         cases[f"app/{name}/default"] = (
             lambda spec=spec: _programs_digest(
                 build_workload_programs(spec, apps)))
-    for name in DOE_MPI_APPS:
-        cases[f"doe/{name}"] = (
-            lambda name=name: _programs_digest(build_doe_programs(name, apps)))
 
     two_hosts = default_config(CXL, hosts=2, cores_per_host=1)
     cases["micro/perfbench-1MB"] = lambda: _programs_digest(
@@ -190,14 +185,6 @@ PINNED = {
         "9306aa6f92d595698388d928bd5aea3e2fb1f73221d879b5b8bd5b674d413f48",
     "ata/rounds12-h8":
         "078e35775c58f43896855a31962680ef29f96dd693e907adc8337b2b82e0181c",
-    "doe/BigFFT":
-        "25d990cb3ee5081d92478e99dcfc8c4f1e452f7381e549e840d900274141e161",
-    "doe/CMC-2D":
-        "58cccb1d9bf5ee0d30793f080d43916ec40c5ef70086557a2db00b8d08cf680b",
-    "doe/CR":
-        "1bc67a6867c54e790cd06cd28c7b5a181f3e26bf6bf68194f3a58ff0904b8ca4",
-    "doe/MOCFE":
-        "0336edc665d69727ebff8b640c12672fa0fcf447b03eb59175afd47ccc106ff1",
     "litmus/classic":
         "6b1d29a3ec10442ecb3e7988d051a2365094d3cd9f7981515efd0d4f09a104d1",
     "litmus/full-suite":
