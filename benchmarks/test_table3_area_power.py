@@ -37,5 +37,7 @@ def test_table3_area_power(benchmark):
 
     summary = rows[-1]
     assert summary["area_mm2"] < 0.002      # dir area ratio < 0.2%
-    assert summary["power_mW"] < 0.014      # dir power ratio < 1.3%
+    # The power bound allows 1.4 %; the paper claims under 1.3 %, and the
+    # model's directory power ratio (1.34 %) is above that claim.
+    assert summary["power_mW"] < 0.014      # dir power ratio < 1.4%
     assert summary["read_nJ"] < 0.01        # dynamic energy ratio < 1%

@@ -18,9 +18,15 @@ performs that resolution **once per spec**:
 * emit templates (the static message-id sequence a rule produces) are
   precomputed by driving the rule once against scratch state.
 
-The timed interpreter (:mod:`repro.protocols.table`) binds each row once
-per spec: a protocol family that has an inline fast path for the row's
-opcode runs it, every other row runs its closures.
+Action and delivery opcodes exist only for *per-store* rows — a store's
+issue, its acknowledgment and its commit (SO/MP, CORD Relaxed, SEQ and
+Tardis stores) — because only those run once per store and the timed
+interpreter (:mod:`repro.protocols.table`) has an inline path for each.
+Synchronization rows (CORD Releases, notifications and release acks, SEQ
+flushes and flush acks, every RMW) lower to ``A_CALL``/``D_CALL`` and run
+the same closures the model checker runs.  Guard opcodes are kept for
+every shipped guard: nothing dispatches on them, but the benchmark's
+per-layer ``protocol.call_rows`` counts them.
 
 Compilation is **lint-gated**: a spec that fails
 :func:`~repro.protocols.spec.lint_spec` raises :class:`LintError` before
@@ -53,12 +59,11 @@ __all__ = [
     "G_CALL", "G_TRUE", "G_SO_OUTSTANDING", "G_CORD_RELEASE",
     "G_CORD_RELAXED", "G_SEQ_WINDOW",
     # action opcodes
-    "A_CALL", "A_SO_STORE", "A_CORD_RELAXED", "A_CORD_RELEASE",
-    "A_SEQ_STORE", "A_MP_POSTED", "A_TARDIS_STORE",
+    "A_CALL", "A_SO_STORE", "A_CORD_RELAXED", "A_SEQ_STORE",
+    "A_MP_POSTED", "A_TARDIS_STORE",
     # delivery opcodes
-    "D_CALL", "D_WT_STORE", "D_SO_ACK", "D_WT_RLX", "D_WT_REL",
-    "D_REQ_NOTIFY", "D_NOTIFY", "D_REL_ACK", "D_SEQ_STORE", "D_SEQ_FLUSH",
-    "D_SEQ_FLUSH_ACK", "D_POSTED", "D_TARDIS_STORE",
+    "D_CALL", "D_WT_STORE", "D_SO_ACK", "D_WT_RLX", "D_SEQ_STORE",
+    "D_POSTED", "D_TARDIS_STORE",
 ]
 
 
@@ -73,29 +78,22 @@ G_CORD_RELEASE = 3    # §4.3 release-table bound (+ SO source order)
 G_CORD_RELAXED = 4    # relaxed_stall_reason
 G_SEQ_WINDOW = 5      # issued-since-flush watermark (timed form)
 
-# Action opcodes: what issuing emits.  A_CALL = run rule.effects.
+# Action opcodes: what issuing a store emits.  A_CALL = run rule.effects.
 A_CALL = 0
 A_SO_STORE = 1        # so_outstanding += 1; emit wt_store
 A_CORD_RELAXED = 2    # on_relaxed_store; emit wt_rlx
-A_CORD_RELEASE = 3    # on_release_store; emit req_notify*, wt_rel
-A_SEQ_STORE = 4       # seq counters; emit seq_store
-A_MP_POSTED = 5       # emit posted (no state)
-A_TARDIS_STORE = 6    # seq counters; emit tardis_store (+ lease pop)
+A_SEQ_STORE = 3       # seq counters; emit seq_store
+A_MP_POSTED = 4       # emit posted (no state)
+A_TARDIS_STORE = 5    # seq counters; emit tardis_store (+ lease pop)
 
-# Delivery opcodes: guard + effect of one consumed message.
+# Delivery opcodes: guard + effect of one store's ack or commit.
 D_CALL = 0
 D_WT_STORE = 1        # commit + so_ack reply
 D_SO_ACK = 2          # core: so_outstanding -= 1, wake at zero
 D_WT_RLX = 3          # commit + dir_state.on_relaxed
-D_WT_REL = 4          # release_block_reason gate; commit_release path
-D_REQ_NOTIFY = 5      # req_notify_block_reason gate; forward notify
-D_NOTIFY = 6          # dir_state.on_notify
-D_REL_ACK = 7         # core: on_release_ack + wake
-D_SEQ_STORE = 8       # machine-global commit gate; commit + board
-D_SEQ_FLUSH = 9       # watermark gate; flush-ack reply
-D_SEQ_FLUSH_ACK = 10  # core: watermark advance + wake
-D_POSTED = 11         # commit only (MP posted writes)
-D_TARDIS_STORE = 12   # per-core in-order gate; commit + ts bump + board
+D_SEQ_STORE = 4       # machine-global commit gate; commit + board
+D_POSTED = 5          # commit only (MP posted writes)
+D_TARDIS_STORE = 6    # per-core in-order gate; commit + ts bump + board
 
 
 def _known_guards() -> Dict[Any, int]:
@@ -115,7 +113,6 @@ def _known_actions() -> Dict[Any, int]:
     return {
         _spec_mod._so_issue: A_SO_STORE,
         _spec_mod._cord_issue_relaxed: A_CORD_RELAXED,
-        _spec_mod._cord_issue_release: A_CORD_RELEASE,
         _spec_mod._seq_issue: A_SEQ_STORE,
         _spec_mod._mp_issue: A_MP_POSTED,
         _spec_mod._tardis_issue: A_TARDIS_STORE,
@@ -127,13 +124,7 @@ def _known_deliveries() -> Dict[Any, int]:
         _spec_mod._wt_store_effect: D_WT_STORE,
         _spec_mod._so_ack_effect: D_SO_ACK,
         _spec_mod._wt_rlx_effect: D_WT_RLX,
-        _spec_mod._wt_rel_effect: D_WT_REL,
-        _spec_mod._req_notify_effect: D_REQ_NOTIFY,
-        _spec_mod._notify_effect: D_NOTIFY,
-        _spec_mod._rel_ack_effect: D_REL_ACK,
         _spec_mod._seq_store_effect: D_SEQ_STORE,
-        _spec_mod._seq_flush_effect: D_SEQ_FLUSH,
-        _spec_mod._seq_flush_ack_effect: D_SEQ_FLUSH_ACK,
         _spec_mod._posted_effect: D_POSTED,
         _spec_mod._tardis_store_effect: D_TARDIS_STORE,
     }
@@ -190,9 +181,9 @@ class CompiledIssue:
     guard_op: int
     action_op: int
     #: Static emission template: interned ids of the messages this row
-    #: emits when driven against scratch state.  Dynamic fan-out rows
-    #: (CORD Release notifications) still list one id per *distinct*
-    #: message; the fast path knows how to expand them.
+    #: emits when driven against scratch state, one id per *distinct*
+    #: message (a CORD Release lists ``req_notify`` once however many
+    #: directories it notifies).
     emit_mids: Tuple[int, ...]
 
     # -- IssueRule mirror (kept flat: the interpreter reads these per

@@ -482,7 +482,8 @@ def _cord_barrier_escape_guard(ps: Any, home: int) -> Optional[Any]:
 def _cord_issue_release(ps: Any, home: int, ordered: bool,
                         barrier: bool = False) -> List[Emit]:
     """Alg. 1 lines 5-13: requests-for-notification fan out to pending
-    directories *before* the Release itself goes to its home."""
+    directories *before* the Release itself goes to its home.  Both
+    Release rows use it: a Release RMW rides the ``wt_rel`` carrier too."""
     issue = ps.cord.on_release_store(home, barrier=barrier)
     emits = [
         Emit("req_notify", {"meta": req_meta}, dst_dir=pending_dir,
@@ -496,18 +497,6 @@ def _cord_issue_release(ps: Any, home: int, ordered: bool,
 def _cord_issue_relaxed(ps: Any, home: int, ordered: bool,
                         barrier: bool = False) -> List[Emit]:
     return [Emit("wt_rlx", {"meta": ps.cord.on_relaxed_store(home)})]
-
-
-def _cord_issue_atomic_release(ps: Any, home: int, ordered: bool,
-                               barrier: bool = False) -> List[Emit]:
-    issue = ps.cord.on_release_store(home)
-    emits = [
-        Emit("req_notify", {"meta": req_meta}, dst_dir=pending_dir,
-             carries_op=False)
-        for pending_dir, req_meta in issue.notifications
-    ]
-    emits.append(Emit("wt_rel", {"meta": issue.release}))
-    return emits
 
 
 def _cord_issue_atomic_relaxed(ps: Any, home: int, ordered: bool,
@@ -956,8 +945,7 @@ CORD_SPEC = ProtocolSpec(
         ("atomic", True): IssueRule(
             name="cord-release-atomic", op_class="atomic", ordered=True,
             guard=_cord_release_guard, escape="wait",
-            stall_cause="release_table",
-            effects=_cord_issue_atomic_release),
+            stall_cause="release_table", effects=_cord_issue_release),
         ("atomic", False): IssueRule(
             name="cord-relaxed-atomic", op_class="atomic", ordered=False,
             guard=_cord_relaxed_guard, escape="barrier", stall_cause="",

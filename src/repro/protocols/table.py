@@ -8,18 +8,25 @@ shares: the event-loop plumbing (signals, generators, stall accounting),
 the wire transport (payload assembly, message sizes), the retry queues
 and the closure path, which runs a row through its guard/effect
 callables.  Each family subclass owns its protocol state, its wake
-signal, its escape mechanism and its fast paths.
+signal, its escape mechanism and the inline paths of its per-store rows.
 
 :func:`protocol_classes` resolves a protocol name to its (core port,
 directory) pair.  :func:`make_table_protocol` is the one place that maps
 ``spec.core_state`` to a family, and it binds each row once per spec,
 into class attributes: its escape to the family's mechanism, and its
-compiled opcode to the family's inline fast path, or to the closure path
-when the family has no fast path for that opcode.  The shared methods
-therefore carry no per-protocol test, and every protocol *decision* still
-comes from the table (a fast path is a byte-identical expansion of its
-row's closures), so the timed simulator and the checker cannot diverge
-on them.
+compiled opcode to the family's inline path, or to the closure path
+when the family has none for that opcode.
+
+Inline paths exist only for *per-store* rows, which run once per store:
+the issue, acknowledgment and commit of SO/MP stores, the issue and
+commit of CORD Relaxed stores, and the issue and commit of SEQ and
+Tardis stores.  Every synchronization row — CORD Releases, requests for
+notification, notifications and release acks, SEQ flushes and flush
+acks, RMWs — runs the :mod:`repro.protocols.spec` closures the model
+checker runs.  The shared methods therefore carry no per-protocol test,
+and every protocol *decision* still comes from the table (an inline path
+is a byte-identical expansion of its row's closures), so the timed
+simulator and the checker cannot diverge on them.
 
 Timed behaviour is pinned byte-for-byte by the final-state-hash basket
 (``tests/test_state_hash.py``) and by the dispatch differential in
@@ -41,23 +48,16 @@ from repro.interconnect.message import Message
 from repro.protocols.base import CorePort, DirectoryNode
 from repro.protocols.compile import (
     A_CORD_RELAXED,
-    A_CORD_RELEASE,
     A_MP_POSTED,
     A_SEQ_STORE,
     A_SO_STORE,
     A_TARDIS_STORE,
     CompiledDelivery,
     CompiledIssue,
-    D_NOTIFY,
     D_POSTED,
-    D_REL_ACK,
-    D_REQ_NOTIFY,
-    D_SEQ_FLUSH,
-    D_SEQ_FLUSH_ACK,
     D_SEQ_STORE,
     D_SO_ACK,
     D_TARDIS_STORE,
-    D_WT_REL,
     D_WT_RLX,
     D_WT_STORE,
     compile_spec,
@@ -528,9 +528,7 @@ class CordCorePort(TableCorePort):
     WAKE = "cord_ack"
     ESCAPES = {**TableCorePort.ESCAPES, "barrier": "_barrier_gate"}
     DRAINS = {**TableCorePort.DRAINS, "barriers": "_drain_barriers"}
-    SEND_PATHS = {A_CORD_RELAXED: "_send_relaxed",
-                   A_CORD_RELEASE: "_send_release"}
-    DELIVERY_PATHS = {D_REL_ACK: "_on_rel_ack"}
+    SEND_PATHS = {A_CORD_RELAXED: "_send_relaxed"}
 
     def __init__(self, core) -> None:
         super().__init__(core)
@@ -547,7 +545,7 @@ class CordCorePort(TableCorePort):
     def _note_stall(self, reason: Any) -> None:
         self.cord.record_stall(reason)
 
-    # -- fast paths --------------------------------------------------------
+    # -- fast path ---------------------------------------------------------
     def _send_relaxed(self, row: CompiledIssue, addr: int, size: int, value,
                       program_index: int, dir_index: int, ordering,
                       values=None, barrier: bool = False) -> None:
@@ -556,27 +554,6 @@ class CordCorePort(TableCorePort):
             "core": self._cid, "program_index": program_index,
             "ordering": ordering,
             "meta": self.cord.on_relaxed_store(dir_index)}, size)
-
-    def _send_release(self, row: CompiledIssue, addr: int, size: int, value,
-                      program_index: int, dir_index: int, ordering,
-                      values=None, barrier: bool = False) -> None:
-        # Alg. 1 lines 5-13: requests-for-notification fan out to pending
-        # directories before the Release goes to its home (the template is
-        # (req_notify, wt_rel): the linter keeps the carrier last).
-        notify_mid, mid = row.emit_mids
-        issue = self.cord.on_release_store(dir_index, barrier=barrier)
-        for pending_dir, req_meta in issue.notifications:
-            self._post(notify_mid, pending_dir, {"meta": req_meta})
-        self._post(mid, dir_index, {
-            "addr": addr, "value": value, "size": size, "core": self._cid,
-            "program_index": program_index, "ordering": ordering,
-            "meta": issue.release, "barrier": barrier},
-            None if barrier else size)
-
-    def _on_rel_ack(self, message: Message) -> None:
-        payload = message.payload
-        self.cord.on_release_ack(payload["dir"], payload["epoch"])
-        self.wake_signal.trigger()
 
     # -- §4.4 barrier Releases ---------------------------------------------
     def _store_ordered(self, op: MemOp, program_index: int,
@@ -671,7 +648,6 @@ class SeqCorePort(TableCorePort):
     ESCAPES = {**TableCorePort.ESCAPES, "flush": "_flush_gate"}
     DRAINS = {**TableCorePort.DRAINS, "flush": "_drain_flush"}
     SEND_PATHS = {A_SEQ_STORE: "_send_seq_store"}
-    DELIVERY_PATHS = {D_SEQ_FLUSH_ACK: "_on_flush_ack"}
 
     def __init__(self, core) -> None:
         super().__init__(core)
@@ -687,12 +663,6 @@ class SeqCorePort(TableCorePort):
             "addr": addr, "value": value, "size": size, "core": self._cid,
             "program_index": program_index, "ordering": ordering,
             "seq": seq, "ordered": row.ordered}, size)
-
-    def _on_flush_ack(self, message: Message) -> None:
-        upto = message.payload["upto"]
-        if upto > self.seq_watermark:   # else: an older flush's ack
-            self.seq_watermark = upto
-            self.wake_signal.trigger()
 
     def _flush_gate(self, row: CompiledIssue, dir_index: int,
                     program_index: int) -> Optional[Generator]:
@@ -1010,9 +980,7 @@ class CordDirectory(TableDirectory):
     (:class:`~repro.core.directory.CordDirectoryState`) that order
     Releases at the directory (Alg. 2)."""
 
-    APPLY_PATHS = {D_WT_RLX: "_apply_wt_rlx", D_NOTIFY: "_apply_notify"}
-    RETRY_PATHS = {D_WT_REL: "_retry_wt_rel",
-                   D_REQ_NOTIFY: "_retry_req_notify"}
+    APPLY_PATHS = {D_WT_RLX: "_apply_wt_rlx"}
 
     def __init__(self, machine, node_id) -> None:
         super().__init__(machine, node_id)
@@ -1031,52 +999,13 @@ class CordDirectory(TableDirectory):
         self.commit_store(message)
         self.state.on_relaxed(message.payload["meta"])
 
-    def _apply_notify(self, message: Message) -> None:
-        self.state.on_notify(message.payload["meta"])
-
-    def _retry_wt_rel(self, queue: List[Message]) -> bool:
-        state = self.state
-        changed = False
-        for message in list(queue):
-            payload = message.payload
-            meta = payload["meta"]
-            if state.release_block_reason(meta) is not None:
-                continue
-            queue.remove(message)
-            state.commit_release(meta)
-            if "atomic" in payload:
-                old = self.perform_atomic(message)
-                self.respond_atomic(message, old)
-            elif meta.barrier:
-                # §4.4 escape / fence barrier: no value.
-                self.llc.commit_write_through()
-            else:
-                self.commit_store(message)
-            self._ack_release(message.src, meta)
-            changed = True
-        return changed
-
-    def _retry_req_notify(self, queue: List[Message]) -> bool:
-        state = self.state
-        changed = False
-        for message in list(queue):
-            meta = message.payload["meta"]
-            if state.req_notify_block_reason(meta) is not None:
-                continue
-            queue.remove(message)
-            self._reply(self.machine.directory_id(meta.noti_dst), "notify",
-                        {"meta": state.consume_req_notify(meta)})
-            changed = True
-        return changed
-
 
 class SeqDirectory(TableDirectory):
     """SEQ-k directory side: stores and flushes gate on the machine-global
     commit board (per-directory counts deadlock cross-directory
     releases)."""
 
-    RETRY_PATHS = {D_SEQ_STORE: "_retry_seq_store",
-                   D_SEQ_FLUSH: "_retry_seq_flush"}
+    RETRY_PATHS = {D_SEQ_STORE: "_retry_seq_store"}
 
     def __init__(self, machine, node_id) -> None:
         super().__init__(machine, node_id)
@@ -1094,19 +1023,6 @@ class SeqDirectory(TableDirectory):
             queue.remove(message)
             self.commit_store(message)
             board.commit(core, origin=self)
-            changed = True
-        return changed
-
-    def _retry_seq_flush(self, queue: List[Message]) -> bool:
-        board = self.board
-        changed = False
-        for message in list(queue):
-            payload = message.payload
-            if board.count(payload["core"]) < payload["upto"]:
-                continue
-            queue.remove(message)
-            self._reply(message.src, "seq_flush_ack",
-                        {"upto": payload["upto"]})
             changed = True
         return changed
 

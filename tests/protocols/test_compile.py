@@ -31,20 +31,13 @@ from repro.protocols import spec as spec_module
 from repro.protocols.compile import (
     A_CALL,
     A_CORD_RELAXED,
-    A_CORD_RELEASE,
     A_MP_POSTED,
     A_SEQ_STORE,
     A_SO_STORE,
     D_CALL,
-    D_NOTIFY,
     D_POSTED,
-    D_REL_ACK,
-    D_REQ_NOTIFY,
-    D_SEQ_FLUSH,
-    D_SEQ_FLUSH_ACK,
     D_SEQ_STORE,
     D_SO_ACK,
-    D_WT_REL,
     D_WT_RLX,
     D_WT_STORE,
     G_CALL,
@@ -161,17 +154,19 @@ class TestLowering:
         assert relaxed.guard_op == G_CORD_RELAXED
         assert relaxed.action_op == A_CORD_RELAXED
         assert release.guard_op == G_CORD_RELEASE
-        assert release.action_op == A_CORD_RELEASE
+        # Synchronization rows run their closures: the Release issue (store
+        # and RMW alike), the notifications and the release ack.
+        assert release.action_op == A_CALL
+        assert c.issue[("atomic", True)].action_op == A_CALL
         assert c.barrier_carrier == "wt_rel"
         # The emit template keeps the carrier last (linter-enforced).
         names = [c.messages[mid].name for mid in release.emit_mids]
         assert names[-1] == "wt_rel"
         wire = lambda name: c.message(name).wire_name
         assert c.dir_wire[wire("wt_rlx")].op == D_WT_RLX
-        assert c.dir_wire[wire("wt_rel")].op == D_WT_REL
-        assert c.dir_wire[wire("req_notify")].op == D_REQ_NOTIFY
-        assert c.dir_wire[wire("notify")].op == D_NOTIFY
-        assert c.core_wire[wire("rel_ack")].op == D_REL_ACK
+        for name in ("wt_rel", "req_notify", "notify"):
+            assert c.dir_wire[wire(name)].op == D_CALL
+        assert c.core_wire[wire("rel_ack")].op == D_CALL
 
     def test_mp_rows(self):
         c = compile_spec(get_spec("mp"))
@@ -190,8 +185,8 @@ class TestLowering:
         assert names == ["seq_store"]
         wire = lambda name: c.message(name).wire_name
         assert c.dir_wire[wire("seq_store")].op == D_SEQ_STORE
-        assert c.dir_wire[wire("seq_flush")].op == D_SEQ_FLUSH
-        assert c.core_wire[wire("seq_flush_ack")].op == D_SEQ_FLUSH_ACK
+        assert c.dir_wire[wire("seq_flush")].op == D_CALL
+        assert c.core_wire[wire("seq_flush_ack")].op == D_CALL
 
     def test_compiled_rows_mirror_their_rules(self):
         # Generic interpreter paths read the mirrored IssueRule fields off

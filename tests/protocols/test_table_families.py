@@ -1,4 +1,5 @@
-"""The shared table interpreter names no protocol family.
+"""The shared table interpreter names no protocol family, and families
+keep inline paths only for per-store rows.
 
 :class:`~repro.protocols.table.TableCorePort` and
 :class:`~repro.protocols.table.TableDirectory` hold what every family
@@ -9,7 +10,11 @@ per-family branch back: a ``core_state`` access, a string literal naming a
 shipped message other than the shared load/atomic round trip, or a
 compiled opcode other than the generic ``A_CALL``/``D_CALL``.  They also
 pin :func:`~repro.protocols.table.make_table_protocol` as the only code in
-the module that reads ``core_state``.
+the module that reads ``core_state``, and pin which rows each shipped
+protocol binds to a family method: a store's issue, acknowledgment and
+commit, and nothing else.  Every synchronization row (Releases,
+notifications, release acks, flushes, flush acks, RMWs) runs the spec's
+closures, the same functions the model checker runs.
 """
 
 import ast
@@ -20,6 +25,7 @@ import textwrap
 import pytest
 
 from repro.protocols import table
+from repro.protocols.compile import compile_spec
 from repro.protocols.spec import get_spec
 
 #: The load and RMW round trip every family shares.
@@ -76,11 +82,11 @@ def test_the_check_sees_each_kind_of_family_name():
         def _wake(self):
             if self.SPEC.core_state == "seq":
                 return "seq_flush_ack"
-            return D_REL_ACK, compile.A_CORD_RELEASE, D_CALL, "load_req"
+            return D_SO_ACK, compile.A_CORD_RELAXED, D_CALL, "load_req"
     '''
     assert _violations(source) == [
         ("_wake", "core_state"), ("_wake", "'seq_flush_ack'"),
-        ("_wake", "D_REL_ACK"), ("_wake", "A_CORD_RELEASE"),
+        ("_wake", "D_SO_ACK"), ("_wake", "A_CORD_RELAXED"),
     ]
 
 
@@ -92,3 +98,54 @@ def test_only_the_factory_reads_core_state():
             if isinstance(node, ast.Attribute) and node.attr == "core_state":
                 readers.add(top.name)
     assert readers == {"make_table_protocol"}
+
+
+#: The rows each protocol runs on an inline family method: its store issue
+#: rows (by ``(op_class, ordered)`` key) and the messages that acknowledge
+#: or commit one store.  Every other row must run its closures.
+PER_STORE_ROWS = {
+    "so": {("store", True), ("store", False), "wt_store", "so_ack"},
+    "mp": {("store", True), ("store", False), "posted"},
+    "cord": {("store", False), "wt_rlx"},
+    "cord-nonotify": {("store", False), "wt_rlx"},
+    "seq8": {("store", True), ("store", False), "seq_store"},
+    "tardis": {("store", True), ("store", False), "tardis_store"},
+}
+
+_CLOSURE_FACTORIES = ("_core_closure.", "_apply_closure.", "_retry_closure.")
+#: Issue row key -> the port class attribute holding its binding.
+_ISSUE_ATTRS = {("store", True): "_store_t", ("store", False): "_store_f",
+                ("atomic", True): "_atomic_t", ("atomic", False): "_atomic_f"}
+
+
+def _bound_rows(name):
+    """Each row of ``name``'s table -> the function its classes run it
+    with: an issue row's sender, a core-side row's handler, and a
+    directory row's handler or, for a retried row, its queue's drain."""
+    port_cls, dir_cls = table.protocol_classes(name)
+    compiled = compile_spec(port_cls.SPEC)
+    bound = {key: getattr(port_cls, _ISSUE_ATTRS[key])[2]
+             for key in compiled.issue}
+    for row in compiled.core_wire.values():
+        bound[row.name] = port_cls._core_handlers[
+            compiled.message(row.name).wire_name]
+    drains = dict(dir_cls._retry_rows)
+    for row in compiled.dir_wire.values():
+        bound[row.name] = drains.get(row.name) or dir_cls._handlers[
+            compiled.message(row.name).wire_name][0]
+    return port_cls, dir_cls, bound
+
+
+@pytest.mark.parametrize("name", sorted(PER_STORE_ROWS))
+def test_only_per_store_rows_run_inline(name):
+    port_cls, dir_cls, bound = _bound_rows(name)
+    inline, closures = set(), set()
+    for row, fn in bound.items():
+        if (fn is table.TableCorePort._send_call
+                or fn.__qualname__.startswith(_CLOSURE_FACTORIES)):
+            closures.add(row)
+        elif fn in (getattr(port_cls, fn.__name__, None),
+                    getattr(dir_cls, fn.__name__, None)):
+            inline.add(row)
+    assert inline == PER_STORE_ROWS[name]
+    assert closures == set(bound) - inline
