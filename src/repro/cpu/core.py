@@ -40,9 +40,6 @@ class Core:
 
     def handle(self, message: Message) -> None:
         assert self.port is not None
-        faults = self.machine.faults
-        if faults is not None and not faults.accept(message):
-            return  # redelivered duplicate: suppressed before dispatch
         self.port.on_message(message)
 
     # ------------------------------------------------------------------

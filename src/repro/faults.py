@@ -18,10 +18,11 @@ for the timed simulator:
   (seed, plan) pair always injects the same faults; every injection is
   counted under ``faults.*`` in the :class:`~repro.sim.stats.StatRegistry`
   and recorded as a trace instant when tracing is on.
-* :class:`DedupFilter` — endpoint-side duplicate suppression built on
+* Duplicate suppression on the pair channel, built on
   :mod:`repro.core.seqnum`: the network's per-(src, dst) channel counts
   its messages, the injector stamps each with that count wrapped to
-  ``dedup_bits``, and receivers drop redeliveries.
+  ``dedup_bits``, and :meth:`FaultInjector.accept` hands a delivery to
+  the destination's handler only if it is the first.
 
 Division of labour with the model checker: the untimed
 :class:`~repro.litmus.model_checker.ModelChecker` owns *adversarial
@@ -43,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional, Tuple
 
-from repro.core.seqnum import unwrap, wrap
+from repro.core.seqnum import unwrap
 
 __all__ = [
     "DropSpec",
@@ -53,7 +54,6 @@ __all__ = [
     "StallSpec",
     "FaultPlan",
     "FaultInjector",
-    "DedupFilter",
     "fault_presets",
     "parse_faults",
 ]
@@ -85,8 +85,9 @@ class DuplicateSpec:
     """Duplicate delivery: a message arrives again ``delay_ns`` later.
 
     The duplicate consumes link bandwidth like the original and respects
-    per-pair FIFO (it is delivered after the original).  Endpoints are
-    expected to suppress it via :class:`DedupFilter`.
+    per-pair FIFO (it is delivered after the original).  The pair channel
+    suppresses it before the endpoint's handler
+    (:meth:`FaultInjector.accept`).
     """
 
     rate: float = 0.0
@@ -246,48 +247,16 @@ def parse_faults(text: str) -> FaultPlan:
 
 
 # ---------------------------------------------------------------------------
-# Endpoint-side duplicate suppression
-# ---------------------------------------------------------------------------
-class DedupFilter:
-    """Per-endpoint duplicate filter over wrapped wire sequence numbers.
-
-    The network assigns each (src, dst) pair a monotonically increasing
-    sequence number, transmitted wrapped to ``bits`` (the same
-    :mod:`repro.core.seqnum` arithmetic the protocol metadata uses).
-    Per-pair FIFO delivery means in-order first arrivals; a redelivery
-    repeats an already-accepted value and is rejected.  The in-order case
-    (the wire value after the last accepted one) skips :func:`unwrap`,
-    which for ``bits >= 2`` returns exactly ``last + 1`` there.
-    """
-
-    def __init__(self, bits: int) -> None:
-        self.bits = bits
-        self._mask = (1 << bits) - 1
-        self._last: Dict[Any, int] = {}
-
-    def accept(self, src_key: Any, wire_seq: int) -> bool:
-        last = self._last.get(src_key, 0)
-        if wire_seq == (last + 1) & self._mask:
-            self._last[src_key] = last + 1
-            return True
-        value = unwrap(wire_seq, last, self.bits)
-        if value <= last:
-            return False
-        self._last[src_key] = value
-        return True
-
-
-# ---------------------------------------------------------------------------
 # The injector
 # ---------------------------------------------------------------------------
 class FaultInjector:
     """Runtime fault state for one machine.
 
-    Holds the plan, a deterministic RNG stream and per-endpoint
-    :class:`DedupFilter`s; the wire sequence count lives on the network's
-    pair channel, which passes it to :meth:`assign_seq`.  The network
-    consults the injector per send; ``Core.handle`` /
-    ``DirectoryNode.handle`` consult :meth:`accept` per delivery.
+    Holds the plan and a deterministic RNG stream; the wire sequence
+    counts live on the network's pair channel, which passes its send
+    count to :meth:`assign_seq` and itself to :meth:`accept`.  The
+    network consults the injector per send, and schedules :meth:`accept`
+    for each faulted delivery.
 
     A link-side hook is called only when its ``has_*`` flag says the plan
     contains its scenario: :meth:`link_ready_ns` needs an active flap,
@@ -308,7 +277,8 @@ class FaultInjector:
         self.stats = stats
         self.trace = trace
         self._rng = DeterministicRng(seed).child(f"faults.{plan.seed}")
-        self._filters: Dict[Any, DedupFilter] = {}
+        self._bits = plan.dedup_bits
+        self._mask = (1 << plan.dedup_bits) - 1
         self._flaps = tuple(flap for flap in plan.flaps
                             if flap.period_ns > 0 and flap.down_ns > 0)
         self._stalls = tuple(stall for stall in plan.stalls
@@ -432,27 +402,32 @@ class FaultInjector:
     def assign_seq(self, message, count: int) -> None:
         """Stamp ``message`` with ``count``, its number on its (src, dst)
         channel, wrapped to the plan's ``dedup_bits``."""
-        message.seq = wrap(count, self.plan.dedup_bits)
+        message.seq = count & self._mask     # seqnum.wrap, without a call
 
-    # -- endpoint-side hook (called by Core/DirectoryNode handle) -----
-    def accept(self, message) -> bool:
-        """Endpoint dedup: True for first deliveries, False for redelivered
-        duplicates (counted as ``faults.dup_suppressed``)."""
-        if message.seq is None:
-            return True
-        filt = self._filters.get(message.dst)
-        if filt is None:
-            filt = self._filters[message.dst] = DedupFilter(
-                self.plan.dedup_bits
-            )
-        if filt.accept(message.src, message.seq):
-            return True
-        self._count("dup_suppressed")
-        if self.trace:
-            self.trace.instant(str(message.dst), "fault.dup_suppressed",
-                               self.sim.now, uid=message.uid,
-                               src=str(message.src))
-        return False
+    # -- delivery hook (scheduled by Network.send) ---------------------
+    def accept(self, channel, message) -> None:
+        """Deliver ``message`` to ``channel``'s handler unless it repeats
+        a number the channel accepted (``faults.dup_suppressed``).
+
+        Per-pair FIFO makes first deliveries arrive in order, so the
+        in-order case skips :func:`unwrap`, which for ``dedup_bits >= 2``
+        returns exactly ``channel.accepted + 1`` there.
+        """
+        seq = message.seq
+        last = channel.accepted
+        if seq == (last + 1) & self._mask:
+            value = last + 1
+        else:
+            value = unwrap(seq, last, self._bits)
+            if value <= last:
+                self._count("dup_suppressed")
+                if self.trace:
+                    self.trace.instant(str(message.dst),
+                                       "fault.dup_suppressed", self.sim.now,
+                                       uid=message.uid, src=str(message.src))
+                return
+        channel.accepted = value
+        channel.handler(message)
 
     # -- diagnostics ---------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:

@@ -81,8 +81,8 @@ class Message:
         self.uid = next(_message_counter) if uid is None else uid
         #: Wrapped per-(src, dst) wire sequence number, assigned by the
         #: network only when fault injection is active (``None``
-        #: otherwise).  Endpoints use it to suppress duplicate deliveries
-        #: (see :mod:`repro.faults`).
+        #: otherwise).  The pair channel uses it to suppress duplicate
+        #: deliveries (see :mod:`repro.faults`).
         self.seq = seq
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -22,7 +22,7 @@ the state-hash basket).
 
 Each (src-node, dst-node) pair gets a channel on its first send, which
 holds the destination handler, the route, the pair's last arrival and its
-wire sequence count, so a send costs one hash of the pair.  Delivery on a
+wire sequence counts, so a send costs one hash of the pair.  Delivery on a
 channel is FIFO — messages between the same two endpoints arrive in send
 order — which matches real load/store interconnects and is the
 point-to-point ordering the MP (PCIe-like) protocol relies on.  A message
@@ -40,16 +40,18 @@ egress departure to the FIFO clamp and accounting.  With a
 scenario the plan contains (decided once, at construction) and stamps each
 message with its channel's wire sequence count.  A fault duplicate is a
 real second transmission: the block runs once more for it, with the
-original's arrival plus the duplicate delay as a not-before floor, and
-endpoints suppress it by sequence number.
+original's arrival plus the duplicate delay as a not-before floor.  A
+faulted delivery runs :meth:`~repro.faults.FaultInjector.accept` on the
+channel, which calls the channel's handler only for a first delivery, so
+endpoints never see a duplicate.
 
 When a :class:`~repro.trace.TraceCollector` is attached, every send is
 recorded as a flight span (size/class/hops), every delivery as an instant,
 and the original's pre-departure waits as stall spans against the source
 node — split by cause: time queued behind a busy egress port is
 ``egress_queue``; any further fault-induced hold (a link flap/down window)
-is ``fault.link_down``.  Untraced deliveries call the channel's handler
-straight from the kernel.
+is ``fault.link_down``.  Untraced, unfaulted deliveries call the
+channel's handler straight from the kernel.
 """
 
 from __future__ import annotations
@@ -69,11 +71,12 @@ Handler = Callable[[Message], None]
 class _Channel:
     """One (src, dst) node pair: its destination handler, route fields,
     source host (egress port), ``last``, the pair's latest arrival (the
-    FIFO clamp), and ``sent``, the pair's wire sequence count (counted
-    only while a fault injector is attached)."""
+    FIFO clamp), ``sent`` and ``accepted``, the numbers of the pair's
+    latest message and latest first delivery (counted only while a fault
+    injector is attached), and a cross-pod pair's two pod indices."""
 
     __slots__ = ("handler", "latency", "hops", "cross", "cross_pod", "host",
-                 "last", "sent")
+                 "last", "sent", "accepted", "src_pod", "dst_pod")
 
     def __init__(self, handler: Handler, route: tuple, host: int) -> None:
         self.handler = handler
@@ -81,6 +84,7 @@ class _Channel:
         self.host = host
         self.last = 0.0
         self.sent = 0
+        self.accepted = 0
 
 
 class Network:
@@ -105,20 +109,17 @@ class Network:
         #: Optional :class:`repro.faults.FaultInjector` (None = disabled —
         #: the default; each consultation in ``send`` is one test).
         self.faults = faults
-        # Bound method: the per-message serialization cost lookup
-        # (``config.interconnect.serialization_ns``) without the two
-        # attribute hops per send.
-        self._serialize = config.interconnect.serialization_ns
+        # Host-link bandwidth, so serialization is one division per send.
+        self._bytes_per_ns = config.interconnect.bytes_per_ns
         self._handlers: Dict[NodeId, Handler] = {}
         # (src, dst) -> its channel.  The FIFO clamp is per *node* pair:
         # keying on hosts would serialize disjoint same-host mesh paths
         # against each other (all intra-host traffic would share one
         # (h, h) key); per node pair is the ordering MP actually relies on.
         self._channels: Dict[Tuple[NodeId, NodeId], _Channel] = {}
-        # (cross, control, msg_type) -> tuple of Counter handles, so the
-        # per-message accounting never re-resolves registry names (four
-        # dict+format lookups per send) on the hot path.
-        self._counter_cache: Dict[tuple, tuple] = {}
+        # [cross][control] -> {msg_type: tuple of Counter handles}, so the
+        # per-message accounting builds no key and resolves no names.
+        self._accounts = (({}, {}), ({}, {}))
         # Next time each host's switch egress port is free.
         self._egress_free: Dict[int, float] = {}
         # Two-level fabric (pods > 1 only): next time each pod's uplink
@@ -160,6 +161,9 @@ class Network:
             raise KeyError(f"no handler registered for {dst}")
         channel = self._channels[(src, dst)] = _Channel(
             handler, self.topology.route(src, dst), src.host)
+        if channel.cross_pod:
+            channel.src_pod = self.config.pod_of_host(src.host)
+            channel.dst_pod = self.config.pod_of_host(dst.host)
         return channel
 
     # ------------------------------------------------------------------
@@ -194,7 +198,7 @@ class Network:
                 port_free = self._egress_free.get(host, 0.0)
                 if port_free > now:
                     depart = queued = port_free
-                serialization = self._serialize(message.size_bytes)
+                serialization = message.size_bytes / self._bytes_per_ns
                 if faults is not None:
                     if faults.has_flaps:
                         depart = faults.link_ready_ns(message, depart)
@@ -204,7 +208,7 @@ class Network:
                 finish = depart + serialization
                 self._egress_free[host] = finish
                 if channel.cross_pod:
-                    finish = self._pod_transit(message, finish)
+                    finish = self._pod_transit(channel, message, finish)
                 arrival = finish + latency
             else:
                 arrival = now + latency
@@ -236,8 +240,9 @@ class Network:
                                     queued, depart)
                 trace.message_send(message, depart, arrival, cross,
                                    channel.hops)
-                sim.schedule_at(arrival, self._deliver, channel.handler,
-                                message)
+                sim.schedule_at(arrival, self._deliver, channel, message)
+            elif faults is not None:
+                sim.schedule_at(arrival, faults.accept, channel, message)
             else:
                 sim.schedule_at(arrival, channel.handler, message)
             if faults is None:
@@ -249,14 +254,18 @@ class Network:
                 return arrival
             original, not_before = arrival, arrival + delay
 
-    def _deliver(self, handler: Handler, message: Message) -> None:
+    def _deliver(self, channel: _Channel, message: Message) -> None:
         self.trace.message_deliver(message, self.sim.now)
-        handler(message)
+        if self.faults is not None:
+            self.faults.accept(channel, message)
+        else:
+            channel.handler(message)
 
     # ------------------------------------------------------------------
     # Two-level fabric (pods > 1 only)
     # ------------------------------------------------------------------
-    def _pod_transit(self, message: Message, finish: float) -> float:
+    def _pod_transit(self, channel: _Channel, message: Message,
+                     finish: float) -> float:
         """Serialize a cross-pod message on the source pod's uplink and
         the destination pod's downlink; returns the new link-exit time.
 
@@ -264,9 +273,7 @@ class Network:
         through them), modelled exactly like the host egress port: a
         busy-until time per pod, FIFO occupancy, queue time accounted.
         """
-        config = self.config
-        src_pod = config.pod_of_host(message.src.host)
-        dst_pod = config.pod_of_host(message.dst.host)
+        src_pod, dst_pod = channel.src_pod, channel.dst_pod
         serialization = message.size_bytes / self._uplink_bytes_per_ns
         up_bytes, up_queue, spine_bytes, spine_queue = self._pod_counters
 
@@ -299,20 +306,20 @@ class Network:
     # Accounting
     # ------------------------------------------------------------------
     def _account(self, message: Message, cross: bool) -> None:
-        key = (cross, message.control, message.msg_type)
-        counters = self._counter_cache.get(key)
+        control = message.control
+        accounts = self._accounts[cross][1 if control else 0]
+        counters = accounts.get(message.msg_type)
         if counters is None:
             scope = "inter_host" if cross else "intra_host"
-            klass = "ctrl" if message.control else "data"
-            counters = (
+            klass = "ctrl" if control else "data"
+            counters = accounts[message.msg_type] = (
                 self.stats.counter(f"traffic.{scope}.{klass}"),
                 self.stats.counter(f"traffic.{scope}.total"),
                 self.stats.counter(f"msgs.{scope}.{message.msg_type}"),
                 self.stats.counter(f"bytes.{scope}.{message.msg_type}"),
                 self.stats.counter("msgs.inter_host.ctrl_count")
-                if cross and message.control else None,
+                if cross and control else None,
             )
-            self._counter_cache[key] = counters
         size = message.size_bytes
         klass_bytes, total_bytes, msg_count, type_bytes, ctrl_count = counters
         klass_bytes.add(size)

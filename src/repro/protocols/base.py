@@ -245,9 +245,6 @@ class DirectoryNode:
     # Dispatch
     # ------------------------------------------------------------------
     def handle(self, message: Message) -> None:
-        faults = self.machine.faults
-        if faults is not None and not faults.accept(message):
-            return  # redelivered duplicate: suppressed before dispatch
         self.sim.schedule(self.service_ns, self._process, message)
 
     def _process(self, message: Message) -> None:

@@ -273,6 +273,8 @@ class DeliveryContext:
     *rule* decides what happens; the context only says how.
     """
 
+    __slots__ = ()      # so a subclass's own slots leave no __dict__
+
     dir_state: Any = None               # CordDirectoryState or None
     #: Core-side contexts: the protocol-state block of the *receiving*
     #: core (``so_outstanding``/``cord``/``seq_watermark`` fields).

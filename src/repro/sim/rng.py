@@ -22,6 +22,9 @@ class DeterministicRng:
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self._random = random.Random(seed)
+        #: Uniform float in [0, 1), bound here so that a draw (one per
+        #: faulted message) is one C call.
+        self.random = self._random.random
 
     def child(self, label: str) -> "DeterministicRng":
         """Derive an independent stream keyed by ``label``.
@@ -39,9 +42,6 @@ class DeterministicRng:
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in [low, high] inclusive."""
         return self._random.randint(low, high)
-
-    def random(self) -> float:
-        return self._random.random()
 
     def choice(self, options: Sequence[T]) -> T:
         return self._random.choice(options)

@@ -21,6 +21,7 @@ import ast
 import inspect
 import re
 import textwrap
+import types
 
 import pytest
 
@@ -149,3 +150,11 @@ def test_only_per_store_rows_run_inline(name):
             inline.add(row)
     assert inline == PER_STORE_ROWS[name]
     assert closures == set(bound) - inline
+
+
+def test_directory_context_has_no_instance_dict():
+    """``DeliveryContext`` declares empty ``__slots__``, so a
+    ``_TimedDirCtx``, built per retried or applied synchronization
+    message, holds only the slots it declares."""
+    ctx = table._TimedDirCtx(types.SimpleNamespace(state=None), None)
+    assert not hasattr(ctx, "__dict__")

@@ -5,8 +5,9 @@ The contract under test (ISSUE 3 / DESIGN.md fault model):
 * same (machine seed, plan) -> byte-identical injections and results;
 * ``faults=None`` and a disabled plan are byte-identical to each other
   (single-branch integration — the layer is invisible when off);
-* duplicates are always suppressed at endpoints via wire sequence numbers,
-  so every protocol stays safe under duplicate delivery;
+* duplicates are always suppressed on the pair channel via wire sequence
+  numbers, before any endpoint sees them, so every protocol stays safe
+  under duplicate delivery;
 * the fault-enabled litmus sweep passes (safety + deadlock freedom) under
   the drop/dup/flap presets.
 """
@@ -18,7 +19,6 @@ import pytest
 from repro.config import CXL, SystemConfig
 from repro.core.seqnum import unwrap, wrap
 from repro.faults import (
-    DedupFilter,
     DegradeSpec,
     DropSpec,
     DuplicateSpec,
@@ -111,39 +111,124 @@ class TestPlans:
 
 
 # ---------------------------------------------------------------------------
-# Dedup filter
+# Duplicate suppression on the pair channel
 # ---------------------------------------------------------------------------
+class _StubChannel:
+    """The two fields ``FaultInjector.accept`` reads off a pair channel:
+    the last accepted number and the destination handler."""
+
+    def __init__(self):
+        self.accepted = 0
+        self.delivered = []
+        self.handler = self.delivered.append
+
+
+def _dedup(bits=16):
+    """``accept(channel, wire)``: whether an injector with ``bits``-bit
+    wire numbers hands a message numbered ``wire`` to the channel's
+    handler."""
+    injector = FaultInjector(FaultPlan(dedup_bits=bits), Simulator(),
+                             StatRegistry())
+    src, dst = NodeId.core(0, 0), NodeId.directory(1, 1)
+
+    def accept(channel, wire):
+        before = len(channel.delivered)
+        injector.accept(channel, Message(src, dst, "wt_rlx", 64, seq=wire))
+        return len(channel.delivered) > before
+
+    return accept
+
+
 class TestDedupFilter:
     def test_accepts_fresh_rejects_repeats(self):
-        f = DedupFilter(bits=16)
-        assert f.accept("src", 1)
-        assert f.accept("src", 2)
-        assert not f.accept("src", 2)
-        assert not f.accept("src", 1)
-        assert f.accept("src", 3)
+        accept, channel = _dedup(16), _StubChannel()
+        assert accept(channel, 1)
+        assert accept(channel, 2)
+        assert not accept(channel, 2)
+        assert not accept(channel, 1)
+        assert accept(channel, 3)
 
     def test_independent_per_source(self):
-        f = DedupFilter(bits=16)
-        assert f.accept("a", 1)
-        assert f.accept("b", 1)
-        assert not f.accept("a", 1)
+        # Each source reaches a destination on a channel of its own.
+        accept, a, b = _dedup(16), _StubChannel(), _StubChannel()
+        assert accept(a, 1)
+        assert accept(b, 1)
+        assert not accept(a, 1)
 
     def test_wraps_across_sequence_space(self):
-        f = DedupFilter(bits=4)
+        accept, channel = _dedup(4), _StubChannel()
         for seq in range(1, 40):        # wraps the 4-bit space twice
-            assert f.accept("src", seq % 16)
-            assert not f.accept("src", seq % 16)
+            assert accept(channel, seq % 16)
+            assert not accept(channel, seq % 16)
 
     @pytest.mark.parametrize("bits", (2, 3, 16))
     def test_in_order_shortcut_agrees_with_unwrap(self, bits):
         # An in-order arrival is accepted as last + 1 without unwrap; that
         # must be exactly what unwrap reconstructs, across every wrap.
-        f = DedupFilter(bits)
+        accept, channel = _dedup(bits), _StubChannel()
         for value in range(1, 2 * (1 << bits) + 3):
             wire = wrap(value, bits)
             assert unwrap(wire, value - 1, bits) == value
-            assert f.accept("src", wire)
-            assert not f.accept("src", wire)
+            assert accept(channel, wire)
+            assert not accept(channel, wire)
+
+
+class TestChannelDedup:
+    def test_raw_handler_runs_once_per_message_under_full_duplication(self):
+        """Every message is transmitted twice, and both transmissions are
+        counted as traffic, but a handler registered on the network sees
+        each message once: the pair channel suppresses the duplicate."""
+        plan = FaultPlan(duplicate=DuplicateSpec(rate=1.0, delay_ns=5.0))
+        sim, stats = Simulator(), StatRegistry()
+        config = default_config(CXL, hosts=2, cores_per_host=2)
+        network = Network(sim, config, stats,
+                          faults=FaultInjector(plan, sim, stats))
+        src = NodeId.core(0, 0)
+        near, far = NodeId.directory(1, 0), NodeId.directory(2, 1)
+        seen = []
+        for node in (near, far):
+            network.register(node, lambda message: seen.append(message.uid))
+        sent = []
+        for index in range(12):
+            message = _cross_msg(src, far if index % 3 else near,
+                                 size=64 + 8 * index)
+            sim.schedule(index * 7.0, network.send, message)
+            sent.append(message)
+        sim.run()
+
+        assert sorted(seen) == sorted(message.uid for message in sent)
+        assert stats.value("faults.duplicate") == len(sent)
+        assert stats.value("faults.dup_suppressed") == len(sent)
+        for scope, dst in (("intra_host", near), ("inter_host", far)):
+            sizes = [m.size_bytes for m in sent if m.dst == dst]
+            assert stats.value(f"msgs.{scope}.wt_rlx") == 2 * len(sizes)
+            assert stats.value(f"bytes.{scope}.wt_rlx") == 2 * sum(sizes)
+            assert stats.value(f"traffic.{scope}.data") == 2 * sum(sizes)
+            assert stats.value(f"traffic.{scope}.total") == 2 * sum(sizes)
+
+    def test_endpoints_handle_only_first_deliveries(self, monkeypatch):
+        """On a drop+dup micro, ``Core.handle`` and
+        ``DirectoryNode.handle`` run once per message received minus the
+        duplicates suppressed."""
+        from repro.cpu.core import Core
+        from repro.protocols.base import DirectoryNode
+        calls = {"received": 0, "handled": 0}
+
+        def counting(fn, key):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(FaultInjector, "accept",
+                            counting(FaultInjector.accept, "received"))
+        for cls in (Core, DirectoryNode):
+            monkeypatch.setattr(cls, "handle",
+                                counting(cls.handle, "handled"))
+        record = _execute_spec(_spec(faults=DROP_DUP))
+        suppressed = record.stat("faults.dup_suppressed")
+        assert suppressed > 0
+        assert calls["handled"] == calls["received"] - suppressed
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +361,21 @@ SAME_HOST_DIR = NodeId.directory(0, 0)
 
 
 def _delivery_times(plan, dst=CROSS_HOST_DIR):
-    """A two-host fabric that records every delivery time at ``dst``
-    (by default on the other host from the sending core)."""
-    sim, stats = Simulator(), StatRegistry()
+    """A two-host fabric with a traced destination ``dst`` (by default on
+    the other host from the sending core), and ``times()``, the arrival
+    time of every wire message it has delivered so far, duplicates
+    included, read from the trace's ``msg_recv`` events."""
+    from repro.trace import TraceCollector
+    sim, stats, trace = Simulator(), StatRegistry(), TraceCollector()
     config = default_config(CXL, hosts=2, cores_per_host=1)
-    injector = FaultInjector(plan, sim, stats)
-    network = Network(sim, config, stats, faults=injector)
+    injector = FaultInjector(plan, sim, stats, trace=trace)
+    network = Network(sim, config, stats, trace=trace, faults=injector)
     src = NodeId.core(0, 0)
-    times = []
-    network.register(dst, lambda message: times.append(sim.now))
+    network.register(dst, lambda message: None)
+
+    def times():
+        return [event.ts_ns for event in trace if event.kind == "msg_recv"]
+
     return network, src, dst, times
 
 
@@ -321,8 +412,8 @@ class TestDuplicateFaultHolds:
 
         assert first == pytest.approx(orig_arrival)   # original: unheld
         window_end = window.start_ns + window.duration_ns
-        assert times == [pytest.approx(orig_arrival),
-                         pytest.approx(window_end)]
+        assert times() == [pytest.approx(orig_arrival),
+                           pytest.approx(window_end)]
 
     def test_duplicate_pays_retry_latency(self):
         """Regression: the duplicate is a real second transmission, so it
@@ -346,8 +437,8 @@ class TestDuplicateFaultHolds:
         # chains from the original's (retried) arrival and pays its own
         # retry delay on top.
         expected_dup = max(2 * ser + latency, arrival + 5.0) + retry
-        assert times == [pytest.approx(arrival),
-                         pytest.approx(expected_dup)]
+        assert times() == [pytest.approx(arrival),
+                           pytest.approx(expected_dup)]
 
     def test_duplicate_waits_out_a_link_down_window(self):
         """Regression: the duplicate left the egress port when the
@@ -366,7 +457,7 @@ class TestDuplicateFaultHolds:
         network.sim.run()
 
         assert arrival == ser + latency                  # 166 ns on CXL
-        assert times == [arrival, 510.0 + ser + latency]  # 676 ns on CXL
+        assert times() == [arrival, 510.0 + ser + latency]  # 676 ns on CXL
 
     def test_duplicate_serializes_at_its_own_departure(self):
         """Regression: the duplicate reused its original's degrade-scaled
@@ -386,7 +477,7 @@ class TestDuplicateFaultHolds:
         network.sim.run()
 
         assert arrival == 4 * ser + latency                # 214 ns on CXL
-        assert times == [arrival, 4 * ser + ser + latency]  # 230 ns on CXL
+        assert times() == [arrival, 4 * ser + ser + latency]  # 230 ns on CXL
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +498,7 @@ class TestStallWindows:
         network.sim.schedule_at(50.0, network.send,
                                 _cross_msg(src, dst, size=64))
         network.sim.run()
-        assert times == [500.0]
+        assert times() == [500.0]
 
 
 class TestFlapWindows:
@@ -430,8 +521,8 @@ class TestFlapWindows:
         network.sim.run()
         ser = network.config.interconnect.serialization_ns(64)
         latency = network.topology.latency_ns(src, dst)
-        assert times == [1_100.0 + ser + latency]
-        assert times == [pytest.approx(1_251.0)]          # on CXL
+        assert times() == [1_100.0 + ser + latency]
+        assert times() == [pytest.approx(1_251.0)]          # on CXL
 
     def test_flaps_that_can_cover_all_time_are_rejected(self):
         # 60/100 + 60/100 >= 1: the two down windows [0, 60) and
